@@ -8,13 +8,17 @@ high derivatives are exact expression trees rather than finite-difference
 estimates.
 
 Expr values are immutable; every operation here is a pure function.
+Nodes are hash-consed, so each distinct subexpression exists once
+(Filliatre & Conchon, "Type-safe modular hash-consing", 2006).
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+import struct
+import threading
+import weakref
 
 import numpy as np
 
@@ -33,7 +37,6 @@ EXP = "exp"
 LN = "ln"
 
 FUNC_KINDS = (SIN, COS, EXP, LN)
-BINARY_KINDS = (ADD, SUB, MUL, DIV)
 
 
 class ParseError(ValueError):
@@ -64,20 +67,49 @@ class DomainError(ValueError):
         super().__init__(f"domain violation in '{subexpression}' at x={x}: {reason}")
 
 
-@dataclass(frozen=True)
+_DOUBLE_BITS = struct.Struct("<d").pack
+_NODES: "weakref.WeakValueDictionary[tuple, Expr]" = weakref.WeakValueDictionary()
+_NODES_LOCK = threading.Lock()
+
+
 class Expr:
-    """One node of an expression tree.
+    """One node of an expression DAG.
 
     ``value`` holds the constant for CONST nodes and the exponent for POW
     nodes; it is None everywhere else.  ``children`` holds 0-2 subtrees.
+    Building (kind, children, value) returns the live node with that kind,
+    child objects and bits of value, if any, so equality is identity while
+    -0.0 and 0.0 stay distinct.  Node table, memos and tape hold nodes
+    weakly, so a dropped expression is freed by reference counting alone.
     """
 
-    kind: str
-    children: tuple["Expr", ...] = ()
-    value: float | None = None
+    __slots__ = ("kind", "children", "value", "_derivative", "_simplified",
+                 "_tape", "__weakref__")
+
+    def __new__(cls, kind: str, children: tuple["Expr", ...] = (),
+                value: float | None = None) -> "Expr":
+        key = (kind, children, None if value is None else _DOUBLE_BITS(value))
+        with _NODES_LOCK:
+            node = _NODES.get(key)
+            if node is None:
+                node = _NODES[key] = object.__new__(cls)
+                for name, v in zip(cls.__slots__, (kind, children, value, None, None, None)):
+                    object.__setattr__(node, name, v)
+        return node
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Expr is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
     def __str__(self) -> str:
         return render(self)
+
+    def __repr__(self) -> str:
+        return f"<Expr {brief(self)}>"
+
+    def __reduce__(self):
+        return Expr, (self.kind, self.children, self.value)  # via the node table
 
 
 # ---------------------------------------------------------------------------
@@ -323,182 +355,203 @@ def format_number(value: float) -> str:
     return repr(float(value))
 
 
-def _precedence(e: Expr) -> int:
-    if e.kind in (ADD, SUB):
-        return _PREC_ADD
-    if e.kind in (MUL, DIV):
-        return _PREC_MUL
-    if e.kind == NEG:
-        return _PREC_NEG
-    if e.kind == CONST and e.value < 0:
-        return _PREC_NEG  # negative literal reparses through unary minus
-    if e.kind == POW:
-        return _PREC_POW
-    return _PREC_ATOM
+_PRECEDENCE = {ADD: _PREC_ADD, SUB: _PREC_ADD, MUL: _PREC_MUL, DIV: _PREC_MUL,
+               NEG: _PREC_NEG, POW: _PREC_POW}
+_BINARY_SYMBOLS = {ADD: "+", SUB: "-", MUL: "*", DIV: "/"}
+_BRIEF_LIMIT = 200
 
 
-def _render(e: Expr, minprec: int) -> str:
+def _pieces(e: Expr, minprec: int):
+    """The rendered text of e, as a stream of pieces."""
     k = e.kind
+    prec = _PRECEDENCE.get(k, _PREC_ATOM)
+    if k == CONST and math.copysign(1.0, e.value) < 0.0:
+        prec = _PREC_NEG  # negative literal, -0.0 too, reparses through unary minus
+    paren = prec < minprec
+    if paren:
+        yield "("
     if k == CONST:
-        s = format_number(e.value)
+        yield format_number(e.value)
     elif k == VAR:
-        s = "x"
-    elif k == ADD:
-        s = f"{_render(e.children[0], _PREC_ADD)}+{_render(e.children[1], _PREC_ADD + 1)}"
-    elif k == SUB:
-        s = f"{_render(e.children[0], _PREC_ADD)}-{_render(e.children[1], _PREC_ADD + 1)}"
-    elif k == MUL:
-        s = f"{_render(e.children[0], _PREC_MUL)}*{_render(e.children[1], _PREC_MUL + 1)}"
-    elif k == DIV:
-        s = f"{_render(e.children[0], _PREC_MUL)}/{_render(e.children[1], _PREC_MUL + 1)}"
+        yield "x"
+    elif k in _BINARY_SYMBOLS:
+        yield from _pieces(e.children[0], prec)
+        yield _BINARY_SYMBOLS[k]
+        yield from _pieces(e.children[1], prec + 1)
     elif k == NEG:
-        s = f"-{_render(e.children[0], _PREC_NEG)}"
+        yield "-"
+        yield from _pieces(e.children[0], _PREC_NEG)
     elif k == POW:
-        s = f"{_render(e.children[0], _PREC_ATOM)}^{format_number(e.value)}"
+        yield from _pieces(e.children[0], _PREC_ATOM)
+        yield f"^{format_number(e.value)}"
     elif k in FUNC_KINDS:
-        s = f"{k}({_render(e.children[0], _PREC_ADD)})"
+        yield f"{k}("
+        yield from _pieces(e.children[0], _PREC_ADD)
+        yield ")"
     else:
         raise ValueError(f"unknown node kind {k!r}")
-    if _precedence(e) < minprec:
-        return f"({s})"
-    return s
+    if paren:
+        yield ")"
 
 
 def render(e: Expr) -> str:
-    """Render to infix text; parse(render(e)) is structurally identical."""
-    return _render(e, _PREC_ADD)
+    """Render to infix text; parse(render(e)) is structurally identical.
+    The text is as long as e is as a tree: exponential in its DAG size."""
+    return "".join(_pieces(e, _PREC_ADD))
+
+
+def brief(e: Expr) -> str:
+    """render(e), cut to _BRIEF_LIMIT characters ending in "..."; O(_BRIEF_LIMIT)."""
+    text = ""
+    for piece in _pieces(e, _PREC_ADD):
+        text += piece
+        if len(text) > _BRIEF_LIMIT:
+            return text[:_BRIEF_LIMIT - 3] + "..."
+    return text
 
 
 # ---------------------------------------------------------------------------
-# Evaluation.  Scalar path uses math.*; the array path uses numpy and exists
-# so quadrature can evaluate a whole panel of nodes in one call.  Both raise
-# DomainError naming the subexpression on ln/division/power violations.
+# Evaluation runs a tape (Griewank & Walther, 2008).  Scalar path: math.*;
+# the array path uses numpy so quadrature evaluates a panel in one call.  Both
+# raise DomainError naming the subexpression on ln/division/power violations.
 # ---------------------------------------------------------------------------
 
 _EXP_OVERFLOW = 709.782712893384  # log(DBL_MAX)
 
 
-def _eval_scalar(e: Expr, x: float) -> float:
-    k = e.kind
-    if k == CONST:
-        return e.value
-    if k == VAR:
-        return x
-    if k in BINARY_KINDS:
-        lv = _eval_scalar(e.children[0], x)
-        rv = _eval_scalar(e.children[1], x)
-        if k == ADD:
-            return lv + rv
-        if k == SUB:
-            return lv - rv
-        if k == MUL:
-            return lv * rv
-        if rv == 0.0:
-            raise DomainError(render(e), x, "division by zero")
-        return lv / rv
-    v = _eval_scalar(e.children[0], x)
-    if k == NEG:
-        return -v
-    if k == POW:
-        c = e.value
-        if v == 0.0 and c < 0.0:
-            raise DomainError(render(e), x, "zero base with negative exponent")
-        if v < 0.0 and c != int(c):
-            raise DomainError(render(e), x, "negative base with non-integer exponent")
-        return math.pow(v, c)
-    if k == SIN:
-        return math.sin(v)
-    if k == COS:
-        return math.cos(v)
-    if k == EXP:
-        if v > _EXP_OVERFLOW:
-            raise DomainError(render(e), x, "exp overflow")
-        return math.exp(v)
-    if k == LN:
-        if v <= 0.0:
-            raise DomainError(render(e), x, f"ln of non-positive value {v}")
-        return math.log(v)
-    raise ValueError(f"unknown node kind {k!r}")
+def _tape(e: Expr) -> tuple:
+    """(kind, value, left slot, right slot, weak reference to the node, slots
+    last read here) per distinct node of e, in the order a left-to-right walk
+    first completes them, so domain checks keep that walk's order.  Cached."""
+    if e._tape is None:
+        steps: list[tuple] = []
+        _visit(e, {}, steps)
+        last = {q: s for s, step in enumerate(steps) for q in step[2:4]}
+        object.__setattr__(e, "_tape", tuple(
+            step + ({q for q in step[2:4] if q >= 0 and last[q] == s},)
+            for s, step in enumerate(steps)))
+    return e._tape
+
+
+def _visit(node: Expr, slots: dict, steps: list) -> int:
+    slot = slots.get(node)
+    if slot is None:
+        args = [_visit(c, slots, steps) for c in node.children] + [-1, -1]
+        slot = slots[node] = len(steps)
+        steps.append((node.kind, node.value, args[0], args[1], weakref.ref(node)))
+    return slot
+
+
+def _run_scalar(tape: tuple, x: float) -> float:
+    v: list[float] = []
+    push = v.append
+    for k, c, i, j, ref, _ in tape:  # ref: weak reference to the node, for messages
+        if k == CONST:
+            push(c)
+        elif k == VAR:
+            push(x)
+        elif k == MUL:
+            push(v[i] * v[j])
+        elif k == ADD:
+            push(v[i] + v[j])
+        elif k == SUB:
+            push(v[i] - v[j])
+        elif k == DIV:
+            if v[j] == 0.0:
+                raise DomainError(brief(ref()), x, "division by zero")
+            push(v[i] / v[j])
+        elif k == NEG:
+            push(-v[i])
+        elif k == POW:
+            if v[i] == 0.0 and c < 0.0:
+                raise DomainError(brief(ref()), x, "zero base with negative exponent")
+            if v[i] < 0.0 and c != int(c):
+                raise DomainError(brief(ref()), x, "negative base with non-integer exponent")
+            push(math.pow(v[i], c))
+        elif k == SIN:
+            push(math.sin(v[i]))
+        elif k == COS:
+            push(math.cos(v[i]))
+        elif k == EXP:
+            if v[i] > _EXP_OVERFLOW:
+                raise DomainError(brief(ref()), x, "exp overflow")
+            push(math.exp(v[i]))
+        elif k == LN:
+            if v[i] <= 0.0:
+                raise DomainError(brief(ref()), x, f"ln of non-positive value {v[i]}")
+            push(math.log(v[i]))
+        else:
+            raise ValueError(f"unknown node kind {k!r}")
+    return v[-1]
 
 
 def evaluate(e: Expr, x: float) -> float:
     """IEEE-double evaluation of e at the point x."""
     try:
-        result = _eval_scalar(e, float(x))
+        result = _run_scalar(_tape(e), float(x))
     except DomainError:
         raise
     except (OverflowError, ValueError) as err:
-        raise DomainError(render(e), x, f"arithmetic failure: {err}") from err
+        raise DomainError(brief(e), x, f"arithmetic failure: {err}") from err
     if not math.isfinite(result):
-        raise DomainError(render(e), x, "non-finite result")
+        raise DomainError(brief(e), x, "non-finite result")
     return result
 
 
-def _first_offender(xs: np.ndarray, mask: np.ndarray) -> float:
-    return float(xs[np.nonzero(mask)[0][0]])
+def _refuse(bad: np.ndarray, node: Expr, xs: np.ndarray, reason: str) -> None:
+    """Raise DomainError at the first point where `bad` holds, if any."""
+    if bad.any():
+        raise DomainError(brief(node), float(xs[np.nonzero(bad)[0][0]]), reason)
 
 
-def _eval_array(e: Expr, xs: np.ndarray) -> np.ndarray:
-    k = e.kind
-    if k == CONST:
-        return np.full(xs.shape, e.value)
-    if k == VAR:
-        return xs
-    if k in BINARY_KINDS:
-        lv = _eval_array(e.children[0], xs)
-        rv = _eval_array(e.children[1], xs)
-        if k == ADD:
-            return lv + rv
-        if k == SUB:
-            return lv - rv
-        if k == MUL:
-            return lv * rv
-        bad = rv == 0.0
-        if bad.any():
-            raise DomainError(render(e), _first_offender(xs, bad), "division by zero")
-        return lv / rv
-    v = _eval_array(e.children[0], xs)
-    if k == NEG:
-        return -v
-    if k == POW:
-        c = e.value
-        if c < 0.0:
-            bad = v == 0.0
-            if bad.any():
-                raise DomainError(render(e), _first_offender(xs, bad),
-                                  "zero base with negative exponent")
-        if c != int(c):
-            bad = v < 0.0
-            if bad.any():
-                raise DomainError(render(e), _first_offender(xs, bad),
-                                  "negative base with non-integer exponent")
-        return np.power(v, c)
-    if k == SIN:
-        return np.sin(v)
-    if k == COS:
-        return np.cos(v)
-    if k == EXP:
-        bad = v > _EXP_OVERFLOW
-        if bad.any():
-            raise DomainError(render(e), _first_offender(xs, bad), "exp overflow")
-        return np.exp(v)
-    if k == LN:
-        bad = v <= 0.0
-        if bad.any():
-            raise DomainError(render(e), _first_offender(xs, bad),
-                              "ln of non-positive value")
-        return np.log(v)
-    raise ValueError(f"unknown node kind {k!r}")
+def _run_array(tape: tuple, xs: np.ndarray) -> np.ndarray:
+    v: list[np.ndarray] = []
+    push = v.append
+    for k, c, i, j, ref, dead in tape:
+        if k == CONST:
+            push(np.full(xs.shape, c))
+        elif k == VAR:
+            push(xs)
+        elif k == MUL:
+            push(v[i] * v[j])
+        elif k == ADD:
+            push(v[i] + v[j])
+        elif k == SUB:
+            push(v[i] - v[j])
+        elif k == DIV:
+            _refuse(v[j] == 0.0, ref(), xs, "division by zero")
+            push(v[i] / v[j])
+        elif k == NEG:
+            push(-v[i])
+        elif k == POW:
+            if c < 0.0:
+                _refuse(v[i] == 0.0, ref(), xs, "zero base with negative exponent")
+            if c != int(c):
+                _refuse(v[i] < 0.0, ref(), xs, "negative base with non-integer exponent")
+            push(np.power(v[i], c))
+        elif k == SIN:
+            push(np.sin(v[i]))
+        elif k == COS:
+            push(np.cos(v[i]))
+        elif k == EXP:
+            _refuse(v[i] > _EXP_OVERFLOW, ref(), xs, "exp overflow")
+            push(np.exp(v[i]))
+        elif k == LN:
+            _refuse(v[i] <= 0.0, ref(), xs, "ln of non-positive value")
+            push(np.log(v[i]))
+        else:
+            raise ValueError(f"unknown node kind {k!r}")
+        for q in dead:  # free each array after its last use
+            v[q] = None
+    return v[-1]
 
 
 def evaluate_array(e: Expr, xs: np.ndarray) -> np.ndarray:
     """Vectorized evaluation over a 1-D array of points."""
     xs = np.asarray(xs, dtype=float)
     with np.errstate(all="ignore"):
-        result = _eval_array(e, xs)
-    bad = ~np.isfinite(result)
-    if bad.any():
-        raise DomainError(render(e), _first_offender(xs, bad), "non-finite result")
+        result = _run_array(_tape(e), xs)
+    _refuse(~np.isfinite(result), e, xs, "non-finite result")
     return result
 
 
@@ -551,7 +604,15 @@ def _fold_power(base: Expr, exponent: float) -> Expr:
 
 
 def differentiate(e: Expr) -> Expr:
-    """Exact symbolic derivative; repeated application is exact at any order."""
+    """Exact symbolic derivative, memoized per node; exact at any order."""
+    d = e._derivative and e._derivative()
+    if d is None:
+        d = _derive(e)
+        object.__setattr__(e, "_derivative", weakref.ref(d))
+    return d
+
+
+def _derive(e: Expr) -> Expr:
     k = e.kind
     if k == CONST:
         return const(0.0)
@@ -687,8 +748,11 @@ def _rewrite(e: Expr) -> Expr:
 
 
 def simplify(e: Expr) -> Expr:
-    """Bottom-up application of the value-preserving rewrites."""
+    """Bottom-up application of the value-preserving rewrites, memoized."""
     if not e.children:
         return e
-    kids = tuple(simplify(c) for c in e.children)
-    return _rewrite(Expr(e.kind, kids, e.value))
+    s = e._simplified and e._simplified()
+    if s is None:
+        s = _rewrite(Expr(e.kind, tuple(simplify(c) for c in e.children), e.value))
+        object.__setattr__(e, "_simplified", weakref.ref(s))
+    return s

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .expr import Expr, evaluate, evaluate_array, render
+from .expr import Expr, brief, evaluate, evaluate_array
 
 
 class ToleranceNotMetError(ArithmeticError):
@@ -232,7 +232,7 @@ class RealFunction:
 
 
 def from_expr(e: Expr, domain: Interval, label: str | None = None) -> RealFunction:
-    return RealFunction(ExprSource(e), domain, label if label is not None else render(e))
+    return RealFunction(ExprSource(e), domain, label if label is not None else brief(e))
 
 
 def constant_one(iv: Interval) -> RealFunction:

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -150,10 +151,42 @@ def test_simplex_one_dimensional_exact(capsys):
     assert row["partition_pass"] is None
 
 
+def test_simplex_unsampled_cell_is_numeric_failure(capsys):
+    # the n=9 cell is 1/362880 of the cube: 1e5 samples at seed 2024 miss it,
+    # and a zero hit count must not be reported as perfect agreement
+    code, out, err = run_main(capsys, "simplex", "--n", "9", "--samples", "100000")
+    assert code == 3
+    assert out == ""
+    assert "--samples" in err
+
+
 def test_simplex_dimension_guard(capsys):
     code, _, err = run_main(capsys, "simplex", "--n", "13")
     assert code == 2
     assert "dimension" in err
+
+
+# ---------------------------------------------------------------------------
+# high orders: bounded time and bounded error text
+# ---------------------------------------------------------------------------
+
+def test_expand_overflow_fails_fast_with_bounded_message(capsys):
+    started = time.perf_counter()
+    code, out, err = run_main(capsys, "expand", "--f", "cos(x)/(2+x)", "--n", "12")
+    assert time.perf_counter() - started < 1.0
+    assert code == 3
+    assert out == ""
+    assert 0 < len(err.encode()) <= 1024
+
+
+def test_remainder_order_10_is_fast(capsys):
+    started = time.perf_counter()
+    code, out, _ = run_main(capsys, "remainder", "--f", "ln(1+x)", "--n", "10",
+                            "--points", "0.5")
+    assert time.perf_counter() - started < 1.0
+    assert code == 0
+    row = parse_json(out)["rows"][0]
+    assert row["max_gap"] <= 1e-9
 
 
 # ---------------------------------------------------------------------------

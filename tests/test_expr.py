@@ -1,12 +1,19 @@
+import copy
+import gc
 import math
+import pickle
+import sys
+import threading
+import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import opcalc.expr as ex
 from opcalc.expr import (
-    DomainError, ParseError, const, differentiate, evaluate, evaluate_array,
-    parse, render, simplify, var,
+    DomainError, ParseError, brief, const, differentiate, evaluate,
+    evaluate_array, parse, render, simplify, var,
 )
 
 
@@ -252,9 +259,18 @@ def test_simplify_preserves_value_exactly(e, x):
 
 
 @given(e=expr_trees)
+@example(e=ex.sin(ex.exp(ex.power(ex.neg(const(0.0)), -2.0))))
+@example(e=ex.neg(ex.power(const(-0.0), -2.0)))
+@example(e=ex.sub(var(), const(-0.0)))
 @settings(max_examples=400, deadline=None)
 def test_render_parse_round_trip(e):
     assert parse(render(e)) == e
+
+
+def test_negative_zero_is_its_own_node():
+    assert const(-0.0) is not const(0.0)
+    assert parse(render(const(-0.0))) is const(-0.0)
+    assert render(ex.power(const(-0.0), 2.0)) == "(-0.0)^2.0"
 
 
 @given(e=expr_trees, x=st.floats(min_value=-1.5, max_value=1.5))
@@ -265,3 +281,240 @@ def test_derivative_round_trip_through_text(e, x):
     v = _try_eval(d, x)
     assume(v is not None)
     assert _try_eval(reparsed, x) == v
+
+
+# ---------------------------------------------------------------------------
+# Hash-consed DAG: identity, memoization, bounded text, tape evaluation
+# ---------------------------------------------------------------------------
+
+def test_equal_structure_is_one_node():
+    e = parse("sin(x)*x + 2")
+    assert e is ex.add(ex.mul(ex.sin(var()), var()), const(2.0))
+    assert hash(e) == hash(parse("sin(x)*x+2.0"))
+    with pytest.raises(AttributeError):
+        e.kind = ex.SUB
+    with pytest.raises(AttributeError):
+        del e.value
+
+
+def test_concurrent_building_makes_one_node_per_structure():
+    texts = [f"sin({k}*x)*exp(x)/({k}+x^2) + ln(1+{k}*x)" for k in range(1, 121)]
+    results = [[] for _ in range(8)]
+
+    def build(out):
+        for text in texts:
+            out.append(simplify(differentiate(parse(text))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=build, args=(out,)) for out in results]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert all(len(out) == len(texts) for out in results)
+    for built in zip(*results):
+        assert all(e is built[0] for e in built)
+
+
+def test_memoized_derivative_is_shared():
+    e = parse("ln(1+x)")
+    d = simplify(differentiate(e))
+    assert differentiate(e) is differentiate(e)
+    assert simplify(differentiate(e)) is d
+
+
+def _nth_derivative(text, order):
+    e = parse(text)
+    for _ in range(order):
+        e = simplify(differentiate(e))
+    return e
+
+
+def test_brief_bounds_text_of_a_large_dag():
+    d = _nth_derivative("ln(1+x)", 9)
+    text = brief(d)
+    assert len(text) == ex._BRIEF_LIMIT and text.endswith("...")
+    assert render(d).startswith(text[:-3])
+    assert brief(parse("sin(x)")) == "sin(x)"
+
+
+def test_copies_and_pickles_come_back_as_the_same_node():
+    e = _nth_derivative("x^2*ln(2+x)", 3)
+    assert pickle.loads(pickle.dumps(e)) is e
+    assert copy.copy(e) is e and copy.deepcopy(e) is e
+    assert pickle.loads(pickle.dumps(const(-0.0))) is const(-0.0)
+
+
+def test_array_evaluation_frees_intermediates():
+    e = var()
+    for _ in range(60):
+        e = ex.sin(ex.add(e, const(1.0)))
+    xs = np.linspace(-1.0, 1.0, 100_000)  # 0.8 MB per intermediate array
+    tracemalloc.start()
+    try:
+        evaluate_array(e, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * xs.nbytes  # keeping all 180 intermediates would take 144 MB
+
+
+def test_domain_error_text_is_bounded():
+    d = _nth_derivative("cos(x)/(2+x)", 10)
+    with pytest.raises(DomainError) as err:
+        evaluate(d, 0.0)
+    assert len(str(err.value)) <= 300
+    with pytest.raises(DomainError) as err:
+        evaluate_array(d, np.array([0.0, 0.5]))
+    assert len(str(err.value)) <= 300
+
+
+def test_dropped_expansion_leaves_the_node_table():
+    from opcalc.taylor import expand
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(ex._NODES)
+        t = expand(parse("ln(1+x)"), 0.0, 8)
+        evaluate_array(t.residual_integrand(), np.linspace(0.0, 0.5, 7))
+        assert len(ex._NODES) > before
+        del t
+        assert len(ex._NODES) == before
+    finally:
+        if enabled:
+            gc.enable()
+
+
+# Reference evaluators: a naive recursive walk of the expression as a tree,
+# with the operations and domain checks in the order the documented
+# semantics give them, and no sharing, memo or tape.
+
+def _naive_scalar(e, x):
+    k = e.kind
+    if k == ex.CONST:
+        return e.value
+    if k == ex.VAR:
+        return x
+    if k in (ex.ADD, ex.SUB, ex.MUL, ex.DIV):
+        lv = _naive_scalar(e.children[0], x)
+        rv = _naive_scalar(e.children[1], x)
+        if k == ex.ADD:
+            return lv + rv
+        if k == ex.SUB:
+            return lv - rv
+        if k == ex.MUL:
+            return lv * rv
+        if rv == 0.0:
+            raise DomainError(brief(e), x, "division by zero")
+        return lv / rv
+    v = _naive_scalar(e.children[0], x)
+    if k == ex.NEG:
+        return -v
+    if k == ex.POW:
+        c = e.value
+        if v == 0.0 and c < 0.0:
+            raise DomainError(brief(e), x, "zero base with negative exponent")
+        if v < 0.0 and c != int(c):
+            raise DomainError(brief(e), x, "negative base with non-integer exponent")
+        return math.pow(v, c)
+    if k == ex.SIN:
+        return math.sin(v)
+    if k == ex.COS:
+        return math.cos(v)
+    if k == ex.EXP:
+        if v > ex._EXP_OVERFLOW:
+            raise DomainError(brief(e), x, "exp overflow")
+        return math.exp(v)
+    if v <= 0.0:
+        raise DomainError(brief(e), x, f"ln of non-positive value {v}")
+    return math.log(v)
+
+
+def _naive_evaluate(e, x):
+    try:
+        result = _naive_scalar(e, x)
+    except DomainError:
+        raise
+    except (OverflowError, ValueError) as err:
+        raise DomainError(brief(e), x, f"arithmetic failure: {err}") from err
+    if not math.isfinite(result):
+        raise DomainError(brief(e), x, "non-finite result")
+    return result
+
+
+def _naive_array(e, xs):
+    def refuse(bad, reason):
+        if bad.any():
+            raise DomainError(brief(e), float(xs[np.nonzero(bad)[0][0]]), reason)
+
+    k = e.kind
+    if k == ex.CONST:
+        return np.full(xs.shape, e.value)
+    if k == ex.VAR:
+        return xs
+    if k in (ex.ADD, ex.SUB, ex.MUL, ex.DIV):
+        lv = _naive_array(e.children[0], xs)
+        rv = _naive_array(e.children[1], xs)
+        if k == ex.ADD:
+            return lv + rv
+        if k == ex.SUB:
+            return lv - rv
+        if k == ex.MUL:
+            return lv * rv
+        refuse(rv == 0.0, "division by zero")
+        return lv / rv
+    v = _naive_array(e.children[0], xs)
+    if k == ex.NEG:
+        return -v
+    if k == ex.POW:
+        if e.value < 0.0:
+            refuse(v == 0.0, "zero base with negative exponent")
+        if e.value != int(e.value):
+            refuse(v < 0.0, "negative base with non-integer exponent")
+        return np.power(v, e.value)
+    if k == ex.SIN:
+        return np.sin(v)
+    if k == ex.COS:
+        return np.cos(v)
+    if k == ex.EXP:
+        refuse(v > ex._EXP_OVERFLOW, "exp overflow")
+        return np.exp(v)
+    refuse(v <= 0.0, "ln of non-positive value")
+    return np.log(v)
+
+
+def _naive_evaluate_array(e, xs):
+    with np.errstate(all="ignore"):
+        result = _naive_array(e, xs)
+    bad = ~np.isfinite(result)
+    if bad.any():
+        raise DomainError(brief(e), float(xs[np.nonzero(bad)[0][0]]), "non-finite result")
+    return result
+
+
+def _outcome(fn, *args):
+    """The result's exact bits, or the full DomainError message."""
+    try:
+        result = fn(*args)
+    except DomainError as err:
+        return "error", str(err)
+    return "value", np.asarray(result, dtype=float).tobytes()
+
+
+@given(e=expr_trees,
+       xs=st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_tape_evaluation_matches_naive_tree_walk(e, xs):
+    points = np.array(xs)
+    for _ in range(4):  # the expression and its first three derivatives
+        assert (_outcome(evaluate_array, e, points)
+                == _outcome(_naive_evaluate_array, e, points))
+        for x in xs:
+            assert _outcome(evaluate, e, x) == _outcome(_naive_evaluate, e, x)
+        e = simplify(differentiate(e))

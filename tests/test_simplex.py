@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +172,23 @@ def test_partition_check_dimension_guard():
 def test_chi_square_threshold_pinned():
     # published 99.9% quantile for 5 degrees of freedom
     assert chi_square_threshold(6) == pytest.approx(20.515, abs=1e-2)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_chi_square_threshold_equals_scipy_stats_quantile(n):
+    from scipy.stats import chi2
+
+    cells = math.factorial(n)
+    assert chi_square_threshold(cells) == float(chi2.ppf(0.999, cells - 1))
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, opcalc.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

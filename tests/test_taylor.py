@@ -1,10 +1,17 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import pytest
 
-from opcalc.expr import const, evaluate, parse, var
+from opcalc.expr import const, evaluate, parse, render, var
 from opcalc.funcspace import DEFAULT_QUAD_CONFIG
 from opcalc.pool import default_pool
+from opcalc.verify import _expr_corpus
 from opcalc.taylor import (
     NESTED_MAX_DEPTH, TaylorExpansion, evaluate_polynomial, expand, ftoc_step,
     remainder_bound, remainder_direct, remainder_exact, remainder_nested,
@@ -301,3 +308,60 @@ def test_polynomial_exactness_all_routes(text, degree):
             assert remainder_bound(t, x) <= 10 * TOL
             if order + 1 <= NESTED_MAX_DEPTH:
                 assert abs(remainder_nested(t, x)) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# The advertised order limit: expand(f, 0, 12) in bounded time and memory
+# ---------------------------------------------------------------------------
+
+_EXPAND_IN_CHILD = """
+import json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from opcalc.expr import DomainError, parse
+from opcalc.taylor import expand
+results = []
+for text, order in json.loads(sys.argv[1]):
+    started = time.perf_counter()
+    try:
+        outcome = list(expand(parse(text), 0.0, order).coefficients)
+    except DomainError as err:
+        outcome = str(err)
+    results.append((time.perf_counter() - started, outcome))
+print(json.dumps(results))
+"""
+
+# (2+x)^(2^k) overflows at x = 0 from k = 10: the quotient rule squares the
+# denominator's power at every order, and power-of-power is not folded.
+_OVERFLOWS_FROM = {"cos(x)/(2.0+x)": 10, "x^2.0*ln(2.0+x)": 11}
+
+
+def _taylor_reference(text, order):
+    namespace = {"sin": mpmath.sin, "cos": mpmath.cos, "exp": mpmath.exp,
+                 "ln": mpmath.log}
+    code = compile(text.replace("^", "**"), "<expression>", "eval")
+    with mpmath.workdps(40):
+        coeffs = mpmath.taylor(lambda t: eval(code, dict(namespace, x=t)), 0, order)
+        return [float(c * mpmath.factorial(k)) for k, c in enumerate(coeffs)]
+
+
+def test_expand_to_order_12_in_bounded_time_and_memory():
+    texts = list(dict.fromkeys(render(e) for e in
+                               _expr_corpus() + [pf.expr for pf in POOL]))
+    assert set(_OVERFLOWS_FROM) <= set(texts)
+    cases = [(t, _OVERFLOWS_FROM.get(t, 13) - 1) for t in texts]
+    cases += [(t, 12) for t in _OVERFLOWS_FROM]
+    cases += [("cos(x)/(2.0+x)", 10)]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _EXPAND_IN_CHILD, json.dumps(cases)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    for (text, order), (seconds, outcome) in zip(cases, json.loads(proc.stdout)):
+        assert seconds < 0.5, (text, order, seconds)
+        if order >= _OVERFLOWS_FROM.get(text, 13):
+            assert isinstance(outcome, str), (text, order)
+            assert outcome.startswith("domain violation") and len(outcome) <= 300
+            continue
+        assert len(outcome) == order + 1, (text, order, outcome)
+        for k, (got, ref) in enumerate(zip(outcome, _taylor_reference(text, order))):
+            assert abs(got - ref) <= 1e-10 * (1.0 + abs(ref)), (text, k, got, ref)
