@@ -18,7 +18,7 @@ from .fixedpoint import (
 from .funcspace import (
     DEFAULT_QUAD_CONFIG, Interval, QuadratureConfig, RealFunction,
     ToleranceNotMetError, constant_one, from_callable, from_expr, integrate,
-    sup_abs,
+    integrate_many, sup_abs,
 )
 from .operators import (
     Compose, Differentiate, EvaluateAt, Identity, IntegrateFrom, OperatorNode,

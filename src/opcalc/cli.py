@@ -257,7 +257,7 @@ def cmd_remainder(args) -> int:
         exact = remainder_exact(t, x, quad)
         nested = (remainder_nested(t, x, quad)
                   if args.n + 1 <= NESTED_MAX_DEPTH else None)
-        sliced = remainder_by_slicing(f, args.a, args.n, x, quad)
+        sliced = remainder_by_slicing(t, x, quad)
         bound = remainder_bound(t, x, quad)
         values = [direct, exact, sliced] + ([nested] if nested is not None else [])
         max_gap = max(abs(p - q) for p in values for q in values)

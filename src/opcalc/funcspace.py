@@ -5,7 +5,9 @@ Quadrature is adaptive bisection over a fixed 15-point Gauss-Kronrod panel;
 the panel error estimate is the difference between the Kronrod value and
 the embedded 7-point Gauss value.  A non-nested 15/7 Gauss pair built from
 numpy's Legendre nodes is available as an alternative rule and doubles as
-an independent cross-check of the embedded constants.
+an independent cross-check of the embedded constants.  Many integrals
+bisect together in lock-step rounds, one integrand evaluation per round,
+which is what makes nested integrals (an integral-backed integrand) cheap.
 """
 
 from __future__ import annotations
@@ -105,23 +107,28 @@ _G15_NODES, _G15_WEIGHTS = np.polynomial.legendre.leggauss(15)
 _G7_NODES, _G7_WEIGHTS = np.polynomial.legendre.leggauss(7)
 
 
-def _panel_gk15(feval, lo: float, hi: float) -> tuple[float, float]:
+def _panel_gk15(feval, lo: np.ndarray, hi: np.ndarray):
     hw = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
-    vals = feval(mid + hw * _GK15_NODES)
-    high = hw * float(np.dot(_GK15_WEIGHTS, vals))
-    low = hw * float(np.dot(_G7_EMBEDDED, vals))
-    return high, abs(high - low)
+    vals = feval((mid[:, None] + hw[:, None] * _GK15_NODES).ravel()).reshape(-1, 15)
+    high = hw * np.vecdot(vals, _GK15_WEIGHTS)
+    low = hw * np.vecdot(vals, _G7_EMBEDDED)
+    return high, np.abs(high - low)
 
 
-def _panel_gauss_pair(feval, lo: float, hi: float) -> tuple[float, float]:
+def _panel_gauss_pair(feval, lo: np.ndarray, hi: np.ndarray):
     hw = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
-    high = hw * float(np.dot(_G15_WEIGHTS, feval(mid + hw * _G15_NODES)))
-    low = hw * float(np.dot(_G7_WEIGHTS, feval(mid + hw * _G7_NODES)))
-    return high, abs(high - low)
+    vals = feval(np.concatenate([(mid[:, None] + hw[:, None] * _G15_NODES).ravel(),
+                                 (mid[:, None] + hw[:, None] * _G7_NODES).ravel()]))
+    high = hw * np.vecdot(vals[:15 * len(lo)].reshape(-1, 15), _G15_WEIGHTS)
+    low = hw * np.vecdot(vals[15 * len(lo):].reshape(-1, 7), _G7_WEIGHTS)
+    return high, np.abs(high - low)
 
 
+# A rule maps arrays of panels to (estimates, error estimates), calling feval
+# once.  np.vecdot is np.dot per panel, so a panel's bits do not depend on
+# its batch (a BLAS matrix-vector product does not promise that).
 PANEL_RULES = {
     "gk15": _panel_gk15,
     "gauss15_7": _panel_gauss_pair,
@@ -214,9 +221,11 @@ class RealFunction:
             return evaluate_array(s.expr, xs)
         if isinstance(s, OneSource):
             return np.ones_like(xs)
-        if isinstance(s, ClosureSource) and s.fn_array is not None:
+        if isinstance(s, IntegralSource):
+            return integrate_many(s.inner, s.base, xs, s.cfg)
+        if s.fn_array is not None:
             return np.asarray(s.fn_array(xs), dtype=float)
-        return np.array([self(float(x)) for x in xs])
+        return np.array([s.fn(float(x)) for x in xs])
 
     def is_expr_backed(self) -> bool:
         return isinstance(self.source, (ExprSource, OneSource))
@@ -276,24 +285,91 @@ def absolute(f: RealFunction) -> RealFunction:
 # integrate: a single application of the integral operator, evaluated at x.
 # ---------------------------------------------------------------------------
 
-def _adapt(panel, feval, lo, hi, value, err, budget, floor, depth, cfg):
-    if err <= budget or err <= floor:
+_SLICE_POINTS = 1024  # integrand points per eval_array call: bounds nested memory
+
+
+def _check_range(f: RealFunction, lo: float, hi: float) -> None:
+    slack = 1e-9 * (1.0 + f.domain.length())
+    if not (f.domain.contains(lo, slack) and f.domain.contains(hi, slack)):
+        raise ValueError(
+            f"integration range [{lo}, {hi}] outside domain "
+            f"[{f.domain.a}, {f.domain.b}] of '{f.label}'"
+        )
+
+
+def _bisect(f: RealFunction, lo: np.ndarray, hi: np.ndarray,
+            cfg: QuadratureConfig) -> np.ndarray:
+    """Integrals of f over [lo[i], hi[i]], lo < hi, bisected in lock-step
+    rounds of one rule call each.  A panel is accepted within its budget
+    (halved per level) or its integral's float floor, else split; accepted
+    values are summed pairwise, left before right, as a recursion would."""
+    def feval(ts: np.ndarray) -> np.ndarray:
+        if len(ts) <= _SLICE_POINTS:
+            return f.eval_array(ts)
+        return np.concatenate([f.eval_array(ts[i:i + _SLICE_POINTS])
+                               for i in range(0, len(ts), _SLICE_POINTS)])
+
+    panel = PANEL_RULES[cfg.base_rule]
+    value, err = panel(feval, lo, hi)
+    if (err <= cfg.abs_tolerance).all():  # within every budget: nothing to split
         return value
-    mid = 0.5 * (lo + hi)
-    if depth <= 0:
-        raise ToleranceNotMetError(budget, err, (lo, hi))
-    if not (lo < mid < hi):
-        return value  # interval at float resolution; nothing left to split
-    lv, le = panel(feval, lo, mid)
-    rv, re_ = panel(feval, mid, hi)
-    half = 0.5 * budget
-    return (_adapt(panel, feval, lo, mid, lv, le, half, floor, depth - 1, cfg)
-            + _adapt(panel, feval, mid, hi, rv, re_, half, floor, depth - 1, cfg))
+    size = np.abs(value)
+    budget = np.fmax(cfg.abs_tolerance, cfg.rel_tolerance * size)
+    floor = 1e-15 * (1.0 + size)
+    rounds = []  # (panel values, indices of the panels split) per round
+    depth = cfg.max_subdivision_depth
+    while True:
+        idx = (~(err <= np.fmax(budget, floor))).nonzero()[0]  # panels to split
+        if idx.size:
+            # out of depth, or a NaN error no split can bring within budget
+            # (splitting it would double the round every round)
+            failing = idx if depth <= 0 else idx[np.isnan(err[idx])]
+            if failing.size:
+                i = failing[0]  # leftmost failing panel of the first integral
+                raise ToleranceNotMetError(float(budget[i]), float(err[i]),
+                                           (float(lo[i]), float(hi[i])))
+            left, right = lo[idx], hi[idx]
+            mid = 0.5 * (left + right)
+            whole = (left < mid) & (mid < right)  # else at float resolution: keep
+            idx, left, mid, right = idx[whole], left[whole], mid[whole], right[whole]
+        rounds.append((value, idx))
+        if not idx.size:
+            break
+        lo = np.stack([left, mid], axis=1).ravel()
+        hi = np.stack([mid, right], axis=1).ravel()
+        budget = np.repeat(0.5 * budget[idx], 2)
+        floor = np.repeat(floor[idx], 2)
+        value, err = panel(feval, lo, hi)
+        depth -= 1
+    total = rounds.pop()[0]
+    while rounds:
+        value, idx = rounds.pop()
+        value[idx] = total[0::2] + total[1::2]
+        total = value
+    return total
+
+
+def integrate_many(f: RealFunction, a: float, xs,
+                   cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG) -> np.ndarray:
+    """Estimates of the integral of f from a to each x in xs, as integrate
+    gives them one at a time, computed together in lock-step rounds."""
+    a = float(a)
+    xs = np.asarray(xs, dtype=float)
+    out = np.zeros(len(xs))
+    live = (xs != a).nonzero()[0]
+    if live.size:
+        x = xs[live]
+        lo, hi = np.minimum(x, a), np.maximum(x, a)
+        _check_range(f, float(lo.min()), float(hi.max()))
+        total = _bisect(f, lo, hi, cfg)
+        out[live] = np.where(x < a, -total, total)
+    return out
 
 
 def integrate(f: RealFunction, a: float, x: float,
               cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG) -> float:
-    """Estimate of the integral of f from a to x.
+    """Estimate of the integral of f from a to x, equal to
+    integrate_many(f, a, [x])[0].
 
     Antisymmetric by construction: the oriented interval is integrated and
     the sign flipped when x < a.
@@ -302,25 +378,10 @@ def integrate(f: RealFunction, a: float, x: float,
     x = float(x)
     if x == a:
         return 0.0
-    sign = 1.0
-    lo, hi = a, x
-    if hi < lo:
-        lo, hi = hi, lo
-        sign = -1.0
-    slack = 1e-9 * (1.0 + f.domain.length())
-    if not (f.domain.contains(lo, slack) and f.domain.contains(hi, slack)):
-        raise ValueError(
-            f"integration range [{lo}, {hi}] outside domain "
-            f"[{f.domain.a}, {f.domain.b}] of '{f.label}'"
-        )
-    panel = PANEL_RULES[cfg.base_rule]
-    feval = f.eval_array
-    value, err = panel(feval, lo, hi)
-    budget = max(cfg.abs_tolerance, cfg.rel_tolerance * abs(value))
-    floor = 1e-15 * (1.0 + abs(value))
-    total = _adapt(panel, feval, lo, hi, value, err, budget, floor,
-                   cfg.max_subdivision_depth, cfg)
-    return sign * total
+    lo, hi = (x, a) if x < a else (a, x)
+    _check_range(f, lo, hi)
+    total = float(_bisect(f, np.array([lo]), np.array([hi]), cfg)[0])
+    return -total if x < a else total
 
 
 # ---------------------------------------------------------------------------

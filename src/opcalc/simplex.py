@@ -19,11 +19,12 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .expr import Expr, differentiate, evaluate_array, simplify
+from .expr import evaluate_array
 from .funcspace import (
-    DEFAULT_QUAD_CONFIG, Interval, QuadratureConfig, from_callable, integrate,
+    DEFAULT_QUAD_CONFIG, QuadratureConfig, from_callable, integrate,
 )
 from .rng import uniform01_block
+from .taylor import TaylorExpansion, _span_interval
 
 _CHUNK_SAMPLES = 1 << 18
 
@@ -233,38 +234,32 @@ def sliced_simplex_volume(order: int, t: float, a: float, x: float) -> float:
     return (x - t) ** order / math.factorial(order)
 
 
-def remainder_by_slicing(f: Expr, a: float, order: int, x: float,
+def remainder_by_slicing(t: TaylorExpansion, x: float,
                          cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG) -> float:
-    """Taylor remainder as the integral of f^(N+1)(t) times the volume of
-    the simplex slice with floor t; a third independent remainder route."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    a = float(a)
+    """Remainder of the expansion t at x as the integral of f^(N+1)(s)
+    times the volume of the simplex slice with floor s; a third independent
+    remainder route."""
+    a = t.base
+    order = t.order
     x = float(x)
     if x == a:
         return 0.0
-    deriv = f
-    for _ in range(order + 1):
-        deriv = simplify(differentiate(deriv))
-
-    lo, hi = min(a, x), max(a, x)
-    pad = 1e-9 * (1.0 + hi - lo)
-    iv = Interval(lo - pad, hi + pad)
+    deriv = t.derivative_exprs[-1]
 
     if x > a:
         def kernel(ts: np.ndarray) -> np.ndarray:
-            vols = np.array([sliced_simplex_volume(order, float(t), a, x) for t in ts])
+            vols = np.array([sliced_simplex_volume(order, float(s), a, x) for s in ts])
             return evaluate_array(deriv, ts) * vols
     else:
-        # mirrored slice: (x-t)^N = (-1)^N * Vol{x <= t_N <= ... <= t_1 <= t}
+        # mirrored slice: (x-s)^N = (-1)^N * Vol{x <= t_N <= ... <= t_1 <= s}
         sign = (-1.0) ** order
 
         def kernel(ts: np.ndarray) -> np.ndarray:
-            vols = np.array([sliced_simplex_volume(order, x, x, float(t)) for t in ts])
+            vols = np.array([sliced_simplex_volume(order, x, x, float(s)) for s in ts])
             return sign * evaluate_array(deriv, ts) * vols
 
     integrand = from_callable(
-        lambda t: float(kernel(np.array([t]))[0]), iv,
+        lambda s: float(kernel(np.array([s]))[0]), _span_interval(a, x),
         f"sliced remainder integrand N={order}", fn_array=kernel,
     )
     return integrate(integrand, a, x, cfg)

@@ -23,15 +23,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .expr import (
     Expr, const, differentiate, evaluate, mul, power, render, simplify, sub,
     var,
 )
 from .funcspace import (
     DEFAULT_QUAD_CONFIG, Interval, QuadratureConfig, from_callable, from_expr,
-    integrate, sup_abs,
+    integrate, integrate_many, sup_abs,
 )
 from .operators import IntegrateFrom, Power, apply
 from .report import CheckReport, from_gap
@@ -226,15 +224,14 @@ def verify_exchange(g: tuple[Expr, Expr], a: float, upper: float,
     def rhs_integrand(ti: float) -> float:
         return fi(ti) * integrate(fj, ti, upper, cfg)
 
+    # integrals are oriented, so int_t^u fj == -int_u^t fj exactly
     lhs_fn = from_callable(
         lhs_integrand, iv, "inner integral, original order",
-        fn_array=lambda ts: fj.eval_array(ts)
-        * np.array([integrate(fi, a, float(t), cfg) for t in ts]),
+        fn_array=lambda ts: fj.eval_array(ts) * integrate_many(fi, a, ts, cfg),
     )
     rhs_fn = from_callable(
         rhs_integrand, iv, "inner integral, exchanged order",
-        fn_array=lambda ts: fi.eval_array(ts)
-        * np.array([integrate(fj, float(t), upper, cfg) for t in ts]),
+        fn_array=lambda ts: fi.eval_array(ts) * -integrate_many(fj, upper, ts, cfg),
     )
     lhs = integrate(lhs_fn, a, upper, cfg)
     rhs = integrate(rhs_fn, a, upper, cfg)

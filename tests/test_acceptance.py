@@ -77,7 +77,7 @@ def test_criterion_2_remainder_four_way_agreement():
                     values = [
                         remainder_direct(t, x),
                         remainder_exact(t, x),
-                        remainder_by_slicing(pf.expr, pf.base, order, x),
+                        remainder_by_slicing(t, x),
                     ]
                     if order <= 3:
                         values.append(remainder_nested(t, x))

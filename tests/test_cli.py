@@ -239,6 +239,12 @@ def test_verify_perturbation_fails_basis(capsys):
     assert "operators.basis_closed_form" in err
 
 
+def test_verify_finite_difference_skips_points_near_a_singularity(capsys):
+    # this seed draws x = -0.99995 for ln(1+x), a step from its singularity
+    code, out, _ = run_main(capsys, "verify", "--seed", "51563480", "--suite", "expr")
+    assert code == 0, out
+
+
 def test_verify_unknown_suite_rejected(capsys):
     code, _, _ = run_main(capsys, "verify", "--suite", "nonsense")
     assert code == 2

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ from opcalc import funcspace as fs
 from opcalc.expr import parse
 from opcalc.funcspace import (
     DEFAULT_QUAD_CONFIG, Interval, QuadratureConfig, ToleranceNotMetError,
-    constant_one, from_callable, from_expr, integrate, linear_combination,
-    sup_abs,
+    constant_one, from_callable, from_expr, from_integral, integrate,
+    integrate_many, linear_combination, sup_abs,
 )
 
 IV = Interval(-4.0, 4.0)
@@ -223,3 +224,214 @@ def test_constant_one_examples():
     assert constant_one(iv)(0.37) == 1.0
     assert integrate(constant_one(Interval(0.0, 2.0)), 0.0, 2.0) == pytest.approx(2.0, abs=TOL)
     assert sup_abs(constant_one(iv), iv) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# integrate_many against the reference engine: recursive bisection, one
+# panel per rule call, one integral per point (nested levels included).
+# ---------------------------------------------------------------------------
+
+def _ref_gk15(feval, lo, hi):
+    hw = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    vals = feval(mid + hw * fs._GK15_NODES)
+    high = hw * float(np.dot(fs._GK15_WEIGHTS, vals))
+    low = hw * float(np.dot(fs._G7_EMBEDDED, vals))
+    return high, abs(high - low)
+
+
+def _ref_gauss_pair(feval, lo, hi):
+    hw = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    high = hw * float(np.dot(fs._G15_WEIGHTS, feval(mid + hw * fs._G15_NODES)))
+    low = hw * float(np.dot(fs._G7_WEIGHTS, feval(mid + hw * fs._G7_NODES)))
+    return high, abs(high - low)
+
+
+REF_RULES = {"gk15": _ref_gk15, "gauss15_7": _ref_gauss_pair}
+
+
+def _ref_adapt(panel, feval, lo, hi, value, err, budget, floor, depth):
+    if err <= budget or err <= floor:
+        return value
+    mid = 0.5 * (lo + hi)
+    if depth <= 0:
+        raise ToleranceNotMetError(budget, err, (lo, hi))
+    if not (lo < mid < hi):
+        return value
+    lv, le = panel(feval, lo, mid)
+    rv, re_ = panel(feval, mid, hi)
+    half = 0.5 * budget
+    return (_ref_adapt(panel, feval, lo, mid, lv, le, half, floor, depth - 1)
+            + _ref_adapt(panel, feval, mid, hi, rv, re_, half, floor, depth - 1))
+
+
+def ref_eval_array(f, xs, panels):
+    s = f.source
+    if isinstance(s, fs.IntegralSource):
+        return np.array([ref_integrate(s.inner, s.base, float(x), s.cfg, panels)
+                         for x in xs])
+    return f.eval_array(xs)
+
+
+def ref_integrate(f, a, x, cfg, panels):
+    """The recursive engine; panels[0] counts rule calls."""
+    a = float(a)
+    x = float(x)
+    if x == a:
+        return 0.0
+    sign = 1.0
+    lo, hi = a, x
+    if hi < lo:
+        lo, hi = hi, lo
+        sign = -1.0
+    slack = 1e-9 * (1.0 + f.domain.length())
+    if not (f.domain.contains(lo, slack) and f.domain.contains(hi, slack)):
+        raise ValueError("integration range outside domain")
+    rule = REF_RULES[cfg.base_rule]
+
+    def panel(feval, lo, hi):
+        panels[0] += 1
+        return rule(feval, lo, hi)
+
+    def feval(ts):
+        return ref_eval_array(f, ts, panels)
+
+    value, err = panel(feval, lo, hi)
+    budget = max(cfg.abs_tolerance, cfg.rel_tolerance * abs(value))
+    floor = 1e-15 * (1.0 + abs(value))
+    return sign * _ref_adapt(panel, feval, lo, hi, value, err, budget, floor,
+                             cfg.max_subdivision_depth)
+
+
+@contextlib.contextmanager
+def counted_panels():
+    """Count the panels the engine accepts or splits, over every rule call."""
+    panels = [0]
+    saved = dict(fs.PANEL_RULES)
+
+    def counting(rule):
+        def wrapper(feval, lo, hi):
+            panels[0] += len(lo)
+            return rule(feval, lo, hi)
+        return wrapper
+
+    fs.PANEL_RULES.update({name: counting(rule) for name, rule in saved.items()})
+    try:
+        yield panels
+    finally:
+        fs.PANEL_RULES.update(saved)
+
+
+NEST_IV = Interval(-1.0, 1.5)
+NEST_POOL = ["exp(x)", "sin(3*x)", "x^5-x", "(x+2)^0.5", "cos(x)/(2+x)",
+             "exp(-x^2)", "ln(2+x)"]
+limits = st.floats(min_value=-1.0, max_value=1.5)
+
+
+@given(
+    text=st.sampled_from(NEST_POOL),
+    rule=st.sampled_from(sorted(fs.PANEL_RULES)),
+    tol=st.sampled_from([1e-6, 1e-9, 1e-12]),
+    rel=st.sampled_from([0.0, 1e-9]),
+    bases=st.lists(limits, max_size=3),
+    a=limits,
+    xs=st.lists(limits, min_size=1, max_size=4),
+    with_a=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_integrate_many_matches_recursive_reference(text, rule, tol, rel, bases,
+                                                    a, xs, with_a):
+    # each nesting level multiplies the reference's cost by ~15
+    assume(len(bases) < 2 or tol >= 1e-9)
+    assume(len(bases) < 3 or (tol >= 1e-6 and len(xs) <= 2))
+    cfg = QuadratureConfig(abs_tolerance=tol, rel_tolerance=rel, base_rule=rule)
+    g = from_expr(parse(text), NEST_IV)
+    for base in bases:
+        g = from_integral(base, g, cfg)
+    if with_a:
+        xs = xs[:1] + [a] + xs[1:]   # x == a inside a mixed batch
+    ref_panels = [0]
+    want = [ref_integrate(g, a, x, cfg, ref_panels) for x in xs]
+    with counted_panels() as panels:
+        got = integrate_many(g, a, xs, cfg)
+    assert [v.hex() for v in got.tolist()] == [float(v).hex() for v in want]
+    assert panels[0] == ref_panels[0]
+    for x, v in zip(xs, want):
+        assert integrate(g, a, x, cfg) == v
+
+
+def test_integrate_many_empty_and_coincident_limits():
+    f = f_of("exp(x)")
+    assert integrate_many(f, 0.5, []).shape == (0,)
+    assert integrate_many(f, 0.5, [0.5, 0.5]).tolist() == [0.0, 0.0]
+
+
+def test_integrate_many_rejects_limits_outside_domain():
+    f = f_of("x", Interval(0.0, 1.0))
+    with pytest.raises(ValueError, match="outside domain"):
+        integrate_many(f, 0.0, [0.5, 2.0, 0.25])
+
+
+def test_tolerance_not_met_message_matches_reference():
+    # several integrals fail in the same round: the first one's leftmost
+    # failing panel is reported, as the one-at-a-time recursion reports it
+    f = from_callable(lambda t: abs(t) ** 0.3, Interval(-1.0, 1.0), "kink",
+                      fn_array=lambda ts: np.abs(ts) ** 0.3)
+    cfg = QuadratureConfig(abs_tolerance=1e-12, max_subdivision_depth=1)
+    with pytest.raises(ToleranceNotMetError) as want:
+        ref_integrate(f, 0.9, -0.7, cfg, [0])
+    with pytest.raises(ToleranceNotMetError) as got:
+        integrate_many(f, 0.9, [-0.7, -1.0, 0.9, 0.2], cfg)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("quadrature error estimate ")
+    assert all(type(v) is float for v in got.value.interval)
+    with pytest.raises(ToleranceNotMetError) as got:
+        integrate(f, 0.9, -0.7, cfg)
+    assert str(got.value) == str(want.value)
+
+
+def test_panel_rules_are_batch_independent():
+    rng = np.random.default_rng(7)
+    lo = rng.uniform(-1.0, 1.0, 300)
+    hi = lo + rng.uniform(1e-6, 0.5, 300)
+    f = f_of("sin(3*x)*exp(x)")
+    for name, rule in fs.PANEL_RULES.items():
+        high, err = rule(f.eval_array, lo, hi)
+        for i in (0, 1, 150, 299):
+            want = REF_RULES[name](f.eval_array, lo[i], hi[i])
+            assert (high[i], err[i]) == want
+            alone = rule(f.eval_array, lo[i:i + 1], hi[i:i + 1])
+            assert (alone[0].tolist(), alone[1].tolist()) == ([want[0]], [want[1]])
+
+
+def test_integral_backed_function_is_batch_consistent():
+    g = from_integral(0.25, from_integral(-0.5, f_of("sin(3*x)+x^2", NEST_IV)))
+    xs = np.concatenate([np.linspace(-1.0, 1.5, 41), [0.25]])
+    batch = g.eval_array(xs)
+    assert [g(float(x)) for x in xs] == batch.tolist()
+
+
+def test_float_resolution_stops_splitting():
+    # on intervals one or two ulps wide, a large integrand's error estimate
+    # (the rule pair's weight-sum bias) stays above budget and floor, so
+    # bisection runs down to float resolution and stops there
+    big = from_callable(lambda t: 1e30, Interval(0.5, 2.0), "1e30",
+                        fn_array=lambda ts: np.full(len(ts), 1e30))
+    xs = [math.nextafter(1.0, 2.0), math.nextafter(math.nextafter(1.0, 2.0), 2.0), 1.5]
+    ref_panels = [0]
+    want = [ref_integrate(big, 1.0, x, DEFAULT_QUAD_CONFIG, ref_panels) for x in xs]
+    with counted_panels() as panels:
+        got = integrate_many(big, 1.0, xs)
+    assert got.tolist() == want
+    assert panels[0] == ref_panels[0]
+
+
+def test_nan_error_estimate_fails_at_once():
+    # a NaN error is never within budget; bisecting it would double the
+    # panels of every round down to max_subdivision_depth
+    f = from_callable(lambda t: math.nan, Interval(0.0, 1.0), "nan",
+                      fn_array=lambda ts: np.full(len(ts), math.nan))
+    with counted_panels() as panels, pytest.raises(ToleranceNotMetError, match="nan"):
+        integrate_many(f, 0.0, [0.5, 1.0])
+    assert panels[0] == 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -159,6 +160,19 @@ def test_iterated_integral_one_guards():
         iterated_integral_one(0, 0.0, 1.0)
     with pytest.raises(ValueError):
         iterated_integral_one(7, 0.0, 1.0)
+
+
+def test_nested_basis_integral_memory_is_bounded():
+    # each nesting level hands eval_array at most a fixed slice of points,
+    # so the depth-5 nest (about 15^5 integrand points) stays small
+    tracemalloc.start()
+    try:
+        got = iterated_integral_one(5, -0.3, 1.2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == pytest.approx(1.5 ** 5 / 120, abs=10 * TOL)
+    assert peak < 2 * 2 ** 20
 
 
 @given(

@@ -232,16 +232,16 @@ def test_sliced_volume_preconditions():
 def test_remainder_by_slicing_exp():
     # must match the direct-evaluation oracle
     expected = math.e - 2.5
-    got = remainder_by_slicing(parse("exp(x)"), 0.0, 2, 1.0)
+    got = remainder_by_slicing(expand(parse("exp(x)"), 0.0, 2), 1.0)
     assert got == pytest.approx(expected, abs=1e-8)
 
 
 def test_remainder_by_slicing_polynomial_zero():
-    assert remainder_by_slicing(parse("x^2-3"), 0.0, 2, 1.7) == pytest.approx(0.0, abs=1e-10)
+    assert remainder_by_slicing(expand(parse("x^2-3"), 0.0, 2), 1.7) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_remainder_by_slicing_sin():
-    got = remainder_by_slicing(parse("sin(x)"), 0.0, 1, 0.5)
+    got = remainder_by_slicing(expand(parse("sin(x)"), 0.0, 1), 0.5)
     assert got == pytest.approx(math.sin(0.5) - 0.5, abs=1e-8)
     assert got == pytest.approx(-0.02057446, abs=1e-7)
 
@@ -255,7 +255,7 @@ def test_slicing_consistency_with_exact(text, a, order):
     f = parse(text)
     t = expand(f, a, order)
     for x in (a + 0.3, a + 0.75):
-        sliced = remainder_by_slicing(f, a, order, x)
+        sliced = remainder_by_slicing(t, x)
         exact = remainder_exact(t, x)
         assert abs(sliced - exact) <= 1e-8
 
@@ -264,6 +264,6 @@ def test_slicing_handles_x_below_base():
     f = parse("exp(x)")
     t = expand(f, 0.0, 2)
     x = -0.6
-    sliced = remainder_by_slicing(f, 0.0, 2, x)
+    sliced = remainder_by_slicing(t, x)
     exact = remainder_exact(t, x)
     assert abs(sliced - exact) <= 1e-8
