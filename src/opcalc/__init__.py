@@ -32,9 +32,9 @@ from .simplex import (
     sliced_simplex_volume,
 )
 from .taylor import (
-    RemainderReport, TaylorExpansion, evaluate_polynomial, expand, ftoc_step,
-    remainder_bound, remainder_direct, remainder_exact, remainder_nested,
-    remainder_report, verify_exchange,
+    TaylorExpansion, evaluate_polynomial, expand, ftoc_step, remainder_bound,
+    remainder_direct, remainder_exact, remainder_nested, remainder_routes,
+    verify_exchange,
 )
 
 __version__ = "0.1.0"

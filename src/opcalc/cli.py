@@ -24,12 +24,9 @@ from .funcspace import DEFAULT_QUAD_CONFIG, QuadratureConfig
 from .operators import UnsupportedDifferentiationError
 from .simplex import (
     MonteCarloConfig, SimplexSpec, ordering_partition_check,
-    remainder_by_slicing, simplex_volume_exact, simplex_volume_montecarlo,
+    simplex_volume_exact, simplex_volume_montecarlo,
 )
-from .taylor import (
-    NESTED_MAX_DEPTH, evaluate_polynomial, expand, remainder_bound,
-    remainder_direct, remainder_exact, remainder_nested,
-)
+from .taylor import evaluate_polynomial, expand, remainder_routes
 from .verify import SUITE_NAMES, VerifyConfig, run_suites
 
 EXIT_OK = 0
@@ -116,8 +113,11 @@ def _emit(args, command: str, config: dict, rows: list[dict],
         records = invariants if command == "verify" else rows
         text = render_csv(_CSV_COLUMNS[command], records)
     if args.out:
-        with open(args.out, "w", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", newline="") as handle:
+                handle.write(text)
+        except OSError as err:
+            raise ValueError(f"cannot write {args.out}: {err.strerror or err}") from err
     else:
         sys.stdout.write(text)
 
@@ -203,9 +203,10 @@ def _resolve_points(args) -> list[float]:
         points.extend(args.points)
     if args.range:
         lo, hi = float(args.range[0]), float(args.range[1])
-        count = int(float(args.range[2]))
-        if count < 1:
-            raise ValueError("--range COUNT must be >= 1")
+        count = float(args.range[2])
+        if not (count >= 1 and count.is_integer()):  # rejects nan and inf too
+            raise ValueError("--range COUNT must be a positive integer")
+        count = int(count)
         if count == 1:
             points.append(lo)
         else:
@@ -251,21 +252,7 @@ def cmd_remainder(args) -> int:
     f = parse(args.f)
     quad = _quad_config(args)
     t = expand(f, args.a, args.n)
-    rows = []
-    for x in points:
-        direct = remainder_direct(t, x)
-        exact = remainder_exact(t, x, quad)
-        nested = (remainder_nested(t, x, quad)
-                  if args.n + 1 <= NESTED_MAX_DEPTH else None)
-        sliced = remainder_by_slicing(t, x, quad)
-        bound = remainder_bound(t, x, quad)
-        values = [direct, exact, sliced] + ([nested] if nested is not None else [])
-        max_gap = max(abs(p - q) for p in values for q in values)
-        rows.append({
-            "x": x, "direct": direct, "exact_integral": exact,
-            "nested_integral": nested, "sliced": sliced, "bound": bound,
-            "max_gap": max_gap,
-        })
+    rows = [remainder_routes(t, x, quad) for x in points]
     config = {"f": args.f, "a": args.a, "n": args.n, "points": points,
               "tol": args.tol, "format": args.format}
     _emit(args, "remainder", config, rows, [])

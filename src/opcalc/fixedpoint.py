@@ -8,7 +8,6 @@ budget is reported as data in the trace, not raised as an error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 

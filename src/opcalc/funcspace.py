@@ -13,7 +13,7 @@ which is what makes nested integrals (an integral-backed integrand) cheap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -52,6 +52,13 @@ class Interval:
 
     def contains(self, x: float, slack: float = 0.0) -> bool:
         return self.a - slack <= x <= self.b + slack
+
+
+def span_interval(a: float, x: float) -> Interval:
+    """The interval between a and x, padded so both stay inside it."""
+    lo, hi = min(a, x), max(a, x)
+    pad = 1e-9 * (1.0 + hi - lo)
+    return Interval(lo - pad, hi + pad)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +196,7 @@ class IntegralSource:
 
 @dataclass(frozen=True)
 class ClosureSource:
-    fn: Callable[[float], float]
-    fn_array: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    fn: Callable[[np.ndarray], np.ndarray]  # maps an array of points to values
 
 
 Source = Union[ExprSource, OneSource, IntegralSource, ClosureSource]
@@ -212,7 +218,7 @@ class RealFunction:
             return 1.0
         if isinstance(s, IntegralSource):
             return integrate(s.inner, s.base, x, s.cfg)
-        return s.fn(x)
+        return float(s.fn(np.array([float(x)]))[0])
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
         s = self.source
@@ -223,9 +229,7 @@ class RealFunction:
             return np.ones_like(xs)
         if isinstance(s, IntegralSource):
             return integrate_many(s.inner, s.base, xs, s.cfg)
-        if s.fn_array is not None:
-            return np.asarray(s.fn_array(xs), dtype=float)
-        return np.array([s.fn(float(x)) for x in xs])
+        return np.asarray(s.fn(xs), dtype=float)
 
     def is_expr_backed(self) -> bool:
         return isinstance(self.source, (ExprSource, OneSource))
@@ -249,9 +253,10 @@ def constant_one(iv: Interval) -> RealFunction:
     return RealFunction(OneSource(), iv, "1")
 
 
-def from_callable(fn: Callable[[float], float], domain: Interval, label: str,
-                  fn_array: Callable[[np.ndarray], np.ndarray] | None = None) -> RealFunction:
-    return RealFunction(ClosureSource(fn, fn_array), domain, label)
+def from_callable(fn: Callable[[np.ndarray], np.ndarray], domain: Interval,
+                  label: str) -> RealFunction:
+    """A function backed by `fn`, which maps an array of points to values."""
+    return RealFunction(ClosureSource(fn), domain, label)
 
 
 def from_integral(base: float, inner: RealFunction,
@@ -270,15 +275,12 @@ def linear_combination(alpha: float, f: RealFunction, beta: float,
         combined = add(mul(const(alpha), f.as_expr()), mul(const(beta), g.as_expr()))
         return from_expr(combined, domain, label)
     return from_callable(
-        lambda x: alpha * f(x) + beta * g(x), domain, label,
-        fn_array=lambda xs: alpha * f.eval_array(xs) + beta * g.eval_array(xs),
-    )
+        lambda xs: alpha * f.eval_array(xs) + beta * g.eval_array(xs), domain, label)
 
 
 def absolute(f: RealFunction) -> RealFunction:
     """|f| as an evaluable function (closure-backed)."""
-    return from_callable(lambda x: abs(f(x)), f.domain, f"|{f.label}|",
-                         fn_array=lambda xs: np.abs(f.eval_array(xs)))
+    return from_callable(lambda xs: np.abs(f.eval_array(xs)), f.domain, f"|{f.label}|")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .expr import Expr, const, differentiate, mul, simplify
+from .expr import const, differentiate, mul, simplify
 from .funcspace import (
     DEFAULT_QUAD_CONFIG, Interval, IntegralSource, QuadratureConfig,
     RealFunction, constant_one, from_callable, from_expr, from_integral,
@@ -171,8 +171,7 @@ def apply(op: OperatorNode, f: RealFunction,
         if f.is_expr_backed():
             return from_expr(mul(const(c), f.as_expr()), f.domain,
                              f"{c}*({f.label})")
-        return from_callable(lambda x: c * f(x), f.domain, f"{c}*({f.label})",
-                             fn_array=lambda xs: c * f.eval_array(xs))
+        return from_callable(lambda xs: c * f.eval_array(xs), f.domain, f"{c}*({f.label})")
     if isinstance(op, Sum):
         left = apply(op.left, f, cfg)
         right = apply(op.right, f, cfg)

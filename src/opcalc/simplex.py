@@ -15,16 +15,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
 from .expr import evaluate_array
 from .funcspace import (
-    DEFAULT_QUAD_CONFIG, QuadratureConfig, from_callable, integrate,
+    DEFAULT_QUAD_CONFIG, QuadratureConfig, from_callable, integrate, span_interval,
 )
 from .rng import uniform01_block
-from .taylor import TaylorExpansion, _span_interval
+
+if TYPE_CHECKING:
+    from .taylor import TaylorExpansion
 
 _CHUNK_SAMPLES = 1 << 18
 
@@ -258,8 +260,6 @@ def remainder_by_slicing(t: TaylorExpansion, x: float,
             vols = np.array([sliced_simplex_volume(order, x, x, float(s)) for s in ts])
             return sign * evaluate_array(deriv, ts) * vols
 
-    integrand = from_callable(
-        lambda s: float(kernel(np.array([s]))[0]), _span_interval(a, x),
-        f"sliced remainder integrand N={order}", fn_array=kernel,
-    )
+    integrand = from_callable(kernel, span_interval(a, x),
+                              f"sliced remainder integrand N={order}")
     return integrate(integrand, a, x, cfg)

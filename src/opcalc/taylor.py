@@ -1,5 +1,5 @@
 """Taylor expansion built by iterating the FTOC substitution, and the
-remainder evaluated along four independent routes.
+remainder evaluated along four independent routes plus a bound.
 
 The expansion never touches a closed-form coefficient rule: starting from
 f = f(a)*1 + I_a D f, each step substitutes the same identity into the
@@ -13,15 +13,16 @@ Remainder routes:
   direct          f(x) - P_N(x)
   exact_integral  single quadrature of (x-t)^N/N! * f^(N+1)(t)
   nested_integral N+1 literally nested quadratures (pre-exchange order)
+  sliced          f^(N+1) against simplex slice volumes (simplex.py)
   bound           sup|f^(N+1)| * |x-a|^(N+1)/(N+1)!
-Their mutual agreement is what the test suites certify.
+remainder_routes evaluates them all at one point, with their largest
+pairwise gap; that agreement is what the test suites certify.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .expr import (
     Expr, const, differentiate, evaluate, mul, power, render, simplify, sub,
@@ -29,10 +30,11 @@ from .expr import (
 )
 from .funcspace import (
     DEFAULT_QUAD_CONFIG, Interval, QuadratureConfig, from_callable, from_expr,
-    integrate, integrate_many, sup_abs,
+    integrate, integrate_many, span_interval, sup_abs,
 )
 from .operators import IntegrateFrom, Power, apply
 from .report import CheckReport, from_gap
+from .simplex import remainder_by_slicing
 
 NESTED_MAX_DEPTH = 4  # nested quadrature cost grows as nodes**(N+1)
 
@@ -66,19 +68,6 @@ class TaylorExpansion:
         """The operator I_a^{N+1} whose image of the (N+1)-th derivative is
         the remainder; apply it to residual_integrand() to evaluate."""
         return Power(IntegrateFrom(self.base), self.order + 1)
-
-
-@dataclass(frozen=True)
-class RemainderReport:
-    """Remainder at one evaluation point along every available route."""
-
-    x: float
-    order: int
-    direct: float
-    exact_integral: float
-    nested_integral: Optional[float]
-    bound: float
-    max_pairwise_gap: float
 
 
 def _initial_expansion(f: Expr, a: float) -> TaylorExpansion:
@@ -133,12 +122,6 @@ def remainder_direct(t: TaylorExpansion, x: float) -> float:
     return evaluate(t.source, x) - evaluate_polynomial(t, x)
 
 
-def _span_interval(a: float, x: float) -> Interval:
-    lo, hi = min(a, x), max(a, x)
-    pad = 1e-9 * (1.0 + hi - lo)
-    return Interval(lo - pad, hi + pad)
-
-
 def remainder_exact(t: TaylorExpansion, x: float,
                     cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG) -> float:
     """Single quadrature of (x-t)^N/N! * f^(N+1)(t) from base to x."""
@@ -149,7 +132,7 @@ def remainder_exact(t: TaylorExpansion, x: float,
     n = t.order
     kernel = mul(const(1.0 / math.factorial(n)), power(sub(const(x), var()), float(n)))
     integrand = mul(kernel, t.derivative_exprs[n + 1])
-    f = from_expr(integrand, _span_interval(a, x),
+    f = from_expr(integrand, span_interval(a, x),
                   f"remainder integrand N={n} of {render(t.source)}")
     return integrate(f, a, x, cfg)
 
@@ -177,7 +160,7 @@ def remainder_nested(t: TaylorExpansion, x: float,
         max_subdivision_depth=min(cfg.max_subdivision_depth, 20),
         base_rule=cfg.base_rule,
     )
-    g = from_expr(t.derivative_exprs[n + 1], _span_interval(a, x))
+    g = from_expr(t.derivative_exprs[n + 1], span_interval(a, x))
     for level in range(n + 1):
         level_cfg = cfg if level == n else inner_cfg
         g = apply(IntegrateFrom(a), g, level_cfg)
@@ -197,7 +180,7 @@ def remainder_bound(t: TaylorExpansion, x: float,
         return 0.0
     n = t.order
     iv = Interval(min(a, x), max(a, x))
-    deriv = from_expr(t.derivative_exprs[n + 1], _span_interval(a, x))
+    deriv = from_expr(t.derivative_exprs[n + 1], span_interval(a, x))
     s = sup_abs(deriv, iv, cfg)
     return s * abs(x - a) ** (n + 1) / math.factorial(n + 1)
 
@@ -214,25 +197,15 @@ def verify_exchange(g: tuple[Expr, Expr], a: float, upper: float,
     gi, gj = g
     a = float(a)
     upper = float(upper)
-    iv = _span_interval(a, upper) if upper != a else Interval(a - 1e-9, a + 1e-9)
+    iv = span_interval(a, upper) if upper != a else Interval(a - 1e-9, a + 1e-9)
     fi = from_expr(gi, iv, f"gi={render(gi)}")
     fj = from_expr(gj, iv, f"gj={render(gj)}")
 
-    def lhs_integrand(tj: float) -> float:
-        return fj(tj) * integrate(fi, a, tj, cfg)
-
-    def rhs_integrand(ti: float) -> float:
-        return fi(ti) * integrate(fj, ti, upper, cfg)
-
     # integrals are oriented, so int_t^u fj == -int_u^t fj exactly
-    lhs_fn = from_callable(
-        lhs_integrand, iv, "inner integral, original order",
-        fn_array=lambda ts: fj.eval_array(ts) * integrate_many(fi, a, ts, cfg),
-    )
-    rhs_fn = from_callable(
-        rhs_integrand, iv, "inner integral, exchanged order",
-        fn_array=lambda ts: fi.eval_array(ts) * -integrate_many(fj, upper, ts, cfg),
-    )
+    lhs_fn = from_callable(lambda ts: fj.eval_array(ts) * integrate_many(fi, a, ts, cfg),
+                           iv, "inner integral, original order")
+    rhs_fn = from_callable(lambda ts: fi.eval_array(ts) * -integrate_many(fj, upper, ts, cfg),
+                           iv, "inner integral, exchanged order")
     lhs = integrate(lhs_fn, a, upper, cfg)
     rhs = integrate(rhs_fn, a, upper, cfg)
     return from_gap(
@@ -242,17 +215,19 @@ def verify_exchange(g: tuple[Expr, Expr], a: float, upper: float,
     )
 
 
-def remainder_report(f: Expr, a: float, order: int, x: float,
-                     cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG) -> RemainderReport:
-    """All remainder routes at one point, with their max pairwise gap."""
-    t = expand(f, a, order)
+def remainder_routes(t: TaylorExpansion, x: float,
+                     cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG) -> dict:
+    """The remainder of t at x along every route, keyed as the CLI's
+    remainder row.  max_gap is the largest pairwise gap between the route
+    values (the bound is not one); the nested route is None when order+1
+    exceeds NESTED_MAX_DEPTH."""
+    x = float(x)
     direct = remainder_direct(t, x)
     exact = remainder_exact(t, x, cfg)
-    nested = remainder_nested(t, x, cfg) if order + 1 <= NESTED_MAX_DEPTH else None
+    nested = remainder_nested(t, x, cfg) if t.order + 1 <= NESTED_MAX_DEPTH else None
+    sliced = remainder_by_slicing(t, x, cfg)
     bound = remainder_bound(t, x, cfg)
-    values = [direct, exact] + ([nested] if nested is not None else [])
-    gap = max(abs(p - q) for p in values for q in values)
-    return RemainderReport(
-        x=float(x), order=order, direct=direct, exact_integral=exact,
-        nested_integral=nested, bound=bound, max_pairwise_gap=gap,
-    )
+    values = [direct, exact, sliced] + ([nested] if nested is not None else [])
+    return {"x": x, "direct": direct, "exact_integral": exact,
+            "nested_integral": nested, "sliced": sliced, "bound": bound,
+            "max_gap": max(abs(p - q) for p in values for q in values)}

@@ -11,7 +11,7 @@ basis-identity check, which a sound checker must flag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .expr import (
     sub, var,
 )
 from .funcspace import (
-    DEFAULT_QUAD_CONFIG, Interval, QuadratureConfig, absolute, constant_one,
-    from_expr, integrate, linear_combination, sup_abs,
+    DEFAULT_QUAD_CONFIG, Interval, QuadratureConfig, absolute, from_expr,
+    integrate, linear_combination, sup_abs,
 )
 from .operators import (
     Compose, Differentiate, EvaluateAt, IntegrateFrom, Scale,
@@ -34,7 +34,7 @@ from .pool import default_pool
 from .report import CheckReport, from_gap
 from .rng import CounterStream
 from .taylor import (
-    NESTED_MAX_DEPTH, expand, remainder_bound, remainder_direct,
+    NESTED_MAX_DEPTH, expand, ftoc_step, remainder_bound, remainder_direct,
     remainder_exact, remainder_nested, verify_exchange,
 )
 
@@ -324,7 +324,6 @@ def suite_taylor(cfg: VerifyConfig) -> list[CheckReport]:
     broken = 0
     for pf in pool:
         for order in range(5):
-            from .taylor import ftoc_step
             stepped = ftoc_step(expand(pf.expr, pf.base, order))
             direct = expand(pf.expr, pf.base, order + 1)
             if stepped.coefficients != direct.coefficients:

@@ -120,6 +120,20 @@ def test_remainder_range_flag(capsys):
     assert [r["x"] for r in doc["rows"]] == pytest.approx([0.1, 0.3, 0.5])
 
 
+@pytest.mark.parametrize("count", ["inf", "2.5", "nan", "0", "-3"])
+def test_remainder_range_count_must_be_a_positive_integer(capsys, count):
+    code, out, err = run_main(capsys, "remainder", "--f", "sin(x)", "--a", "0",
+                              "--n", "1", "--range", "0.1", "0.5", count)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --range COUNT must be a positive integer\n"
+
+
+def test_remainder_range_count_may_be_written_as_a_float(capsys):
+    argv = ["remainder", "--f", "sin(x)", "--a", "0", "--n", "1", "--range", "0.1", "0.5"]
+    assert run_main(capsys, *argv, "3.0") == run_main(capsys, *argv, "3")
+
+
 def test_remainder_domain_violation_exit_three(capsys):
     code, _, err = run_main(capsys, "remainder", "--f", "ln(x)", "--a", "1",
                             "--n", "2", "--points", "-0.5")
@@ -264,6 +278,17 @@ def test_out_file_and_determinism(tmp_path):
     assert first.read_bytes() == second.read_bytes()
     header = first.read_text().splitlines()[0]
     assert header.split(",")[:5] == ["n", "a", "x", "samples", "seed"]
+
+
+def test_unwritable_out_path_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_main(capsys, "expand", "--f", "x", "--n", "1",
+                              "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.parent.exists()
 
 
 def test_float_serialization_round_trips(capsys):

@@ -376,8 +376,7 @@ def test_integrate_many_rejects_limits_outside_domain():
 def test_tolerance_not_met_message_matches_reference():
     # several integrals fail in the same round: the first one's leftmost
     # failing panel is reported, as the one-at-a-time recursion reports it
-    f = from_callable(lambda t: abs(t) ** 0.3, Interval(-1.0, 1.0), "kink",
-                      fn_array=lambda ts: np.abs(ts) ** 0.3)
+    f = from_callable(lambda t: np.abs(t) ** 0.3, Interval(-1.0, 1.0), "kink")
     cfg = QuadratureConfig(abs_tolerance=1e-12, max_subdivision_depth=1)
     with pytest.raises(ToleranceNotMetError) as want:
         ref_integrate(f, 0.9, -0.7, cfg, [0])
@@ -416,8 +415,7 @@ def test_float_resolution_stops_splitting():
     # on intervals one or two ulps wide, a large integrand's error estimate
     # (the rule pair's weight-sum bias) stays above budget and floor, so
     # bisection runs down to float resolution and stops there
-    big = from_callable(lambda t: 1e30, Interval(0.5, 2.0), "1e30",
-                        fn_array=lambda ts: np.full(len(ts), 1e30))
+    big = from_callable(lambda t: np.full_like(t, 1e30), Interval(0.5, 2.0), "1e30")
     xs = [math.nextafter(1.0, 2.0), math.nextafter(math.nextafter(1.0, 2.0), 2.0), 1.5]
     ref_panels = [0]
     want = [ref_integrate(big, 1.0, x, DEFAULT_QUAD_CONFIG, ref_panels) for x in xs]
@@ -430,8 +428,7 @@ def test_float_resolution_stops_splitting():
 def test_nan_error_estimate_fails_at_once():
     # a NaN error is never within budget; bisecting it would double the
     # panels of every round down to max_subdivision_depth
-    f = from_callable(lambda t: math.nan, Interval(0.0, 1.0), "nan",
-                      fn_array=lambda ts: np.full(len(ts), math.nan))
+    f = from_callable(lambda t: np.full_like(t, math.nan), Interval(0.0, 1.0), "nan")
     with counted_panels() as panels, pytest.raises(ToleranceNotMetError, match="nan"):
         integrate_many(f, 0.0, [0.5, 1.0])
     assert panels[0] == 2

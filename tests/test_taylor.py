@@ -8,14 +8,16 @@ from pathlib import Path
 import mpmath
 import pytest
 
+from opcalc.cli import _CSV_COLUMNS
 from opcalc.expr import const, evaluate, parse, render, var
 from opcalc.funcspace import DEFAULT_QUAD_CONFIG
 from opcalc.pool import default_pool
+from opcalc.simplex import remainder_by_slicing
 from opcalc.verify import _expr_corpus
 from opcalc.taylor import (
     NESTED_MAX_DEPTH, TaylorExpansion, evaluate_polynomial, expand, ftoc_step,
     remainder_bound, remainder_direct, remainder_exact, remainder_nested,
-    remainder_report, verify_exchange,
+    remainder_routes, verify_exchange,
 )
 
 TOL = DEFAULT_QUAD_CONFIG.abs_tolerance
@@ -225,33 +227,40 @@ def test_exchange_empty_region():
 
 
 # ---------------------------------------------------------------------------
-# remainder_report
+# remainder_routes
 # ---------------------------------------------------------------------------
 
 def test_report_exp():
-    report = remainder_report(parse("exp(x)"), 0.0, 2, 1.0)
-    assert report.max_pairwise_gap <= 1e-6
-    assert report.bound == pytest.approx(0.45304697, abs=1e-7)
-    assert abs(report.direct) == pytest.approx(0.21828183, abs=1e-7)
-    assert report.bound >= abs(report.direct)
+    report = remainder_routes(expand(parse("exp(x)"), 0.0, 2), 1.0)
+    assert report["max_gap"] <= 1e-6
+    assert report["bound"] == pytest.approx(0.45304697, abs=1e-7)
+    assert abs(report["direct"]) == pytest.approx(0.21828183, abs=1e-7)
+    assert report["bound"] >= abs(report["direct"])
 
 
 def test_report_exact_polynomial_case():
-    report = remainder_report(parse("x^3"), 0.0, 3, 2.0)
-    assert abs(report.direct) <= 10 * TOL
-    assert abs(report.exact_integral) <= 10 * TOL
-    assert abs(report.nested_integral) <= 1e-6
-    assert report.bound == 0.0
+    report = remainder_routes(expand(parse("x^3"), 0.0, 3), 2.0)
+    assert abs(report["direct"]) <= 10 * TOL
+    assert abs(report["exact_integral"]) <= 10 * TOL
+    assert abs(report["nested_integral"]) <= 1e-6
+    assert report["bound"] == 0.0
 
 
 def test_report_sin_order_four():
     # oracle: direct evaluation sin(1) - P_4(1), with P_4 = x - x^3/6
-    report = remainder_report(parse("sin(x)"), 0.0, 4, 1.0)
+    report = remainder_routes(expand(parse("sin(x)"), 0.0, 4), 1.0)
     expected = math.sin(1.0) - (1.0 - 1.0 / 6.0)
-    assert report.direct == pytest.approx(expected, abs=1e-12)
-    assert report.nested_integral is None  # order+1 = 5 exceeds the depth guard
-    assert abs(report.direct) <= report.bound
-    assert report.bound == pytest.approx(1.0 / 120.0, rel=1e-9)
+    assert report["direct"] == pytest.approx(expected, abs=1e-12)
+    assert report["nested_integral"] is None  # order+1 = 5 exceeds the depth guard
+    assert abs(report["direct"]) <= report["bound"]
+    assert report["bound"] == pytest.approx(1.0 / 120.0, rel=1e-9)
+
+
+def test_routes_are_the_cli_remainder_row():
+    t = expand(parse("ln(1+x)"), 0.0, 2)
+    report = remainder_routes(t, -0.4)
+    assert list(report) == _CSV_COLUMNS["remainder"]
+    assert report["sliced"] == remainder_by_slicing(t, -0.4)
 
 
 # ---------------------------------------------------------------------------
