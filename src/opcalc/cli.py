@@ -34,6 +34,8 @@ EXIT_INVARIANT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
+MAX_RANGE_COUNT = 1_000_000     # --range builds its points before any work
+
 _CSV_COLUMNS = {
     "expand": ["row_type", "n", "derivative_at_base", "taylor_coefficient",
                "x", "polynomial_value"],
@@ -206,6 +208,8 @@ def _resolve_points(args) -> list[float]:
         count = float(args.range[2])
         if not (count >= 1 and count.is_integer()):  # rejects nan and inf too
             raise ValueError("--range COUNT must be a positive integer")
+        if count > MAX_RANGE_COUNT:
+            raise ValueError(f"--range COUNT must be at most {MAX_RANGE_COUNT}")
         count = int(count)
         if count == 1:
             points.append(lo)

@@ -36,18 +36,27 @@ def uniform01(seed: int, counter: int) -> float:
     return (splitmix64(seed, counter) >> 11) * _INV_2_53
 
 
-def splitmix64_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Vectorized outputs for counters start .. start+count-1 (uint64)."""
-    c = np.arange(start, start + count, dtype=np.uint64)
-    z = (np.uint64(seed) + (c + np.uint64(1)) * np.uint64(GAMMA))
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(MIX_MULT_1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(MIX_MULT_2)
-    return z ^ (z >> np.uint64(31))
+def splitmix64_at(seed: int, counters) -> np.ndarray:
+    """Vectorized outputs (uint64) for an array of counter positions."""
+    z = np.asarray(counters, dtype=np.uint64) + np.uint64(1)   # a copy: counters stay intact
+    z *= np.uint64(GAMMA)
+    z += np.uint64(seed)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(MIX_MULT_1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(MIX_MULT_2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def uniform01_at(seed: int, counters) -> np.ndarray:
+    """Vectorized uniforms in [0, 1) for any array of counter positions."""
+    return (splitmix64_at(seed, counters) >> np.uint64(11)) * _INV_2_53
 
 
 def uniform01_block(seed: int, start: int, count: int) -> np.ndarray:
     """Vectorized uniforms in [0, 1) for a counter range."""
-    return (splitmix64_block(seed, start, count) >> np.uint64(11)) * _INV_2_53
+    return uniform01_at(seed, np.arange(start, start + count, dtype=np.uint64))
 
 
 class CounterStream:

@@ -129,6 +129,16 @@ def test_remainder_range_count_must_be_a_positive_integer(capsys, count):
     assert err == "error: --range COUNT must be a positive integer\n"
 
 
+def test_range_count_is_capped(capsys):
+    # 1e9 would build a billion points before any work
+    for count in ("1000001", "1e9"):
+        code, out, err = run_main(capsys, "expand", "--f", "x", "--n", "1",
+                                  "--range", "0", "1", count)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --range COUNT must be at most 1000000\n"
+
+
 def test_remainder_range_count_may_be_written_as_a_float(capsys):
     argv = ["remainder", "--f", "sin(x)", "--a", "0", "--n", "1", "--range", "0.1", "0.5"]
     assert run_main(capsys, *argv, "3.0") == run_main(capsys, *argv, "3")

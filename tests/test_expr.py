@@ -233,16 +233,35 @@ def _try_eval(e, x):
         return None
 
 
+def _depends_on_x(e):
+    return e.kind == ex.VAR or any(_depends_on_x(c) for c in e.children)
+
+
+def _shifts_keep_points_apart(e, points):
+    """False when adding a constant to an x-dependent subexpression merges
+    values it had kept apart at the points, as x + 4.6e90 does for any
+    stencil of width 1e-5: the finite difference is then undefined."""
+    if e.kind in (ex.ADD, ex.SUB) and sum(map(_depends_on_x, e.children)) == 1:
+        moved = next(c for c in e.children if _depends_on_x(c))
+        before = {_try_eval(moved, p) for p in points}
+        if len({_try_eval(e, p) for p in points}) < len(before):
+            return False
+    return all(_shifts_keep_points_apart(c, points) for c in e.children)
+
+
 @given(e=expr_trees, x=st.floats(min_value=-1.5, max_value=1.5))
+@example(e=parse("cos(x + 1/2.19e-91)"), x=0.0)
 @settings(max_examples=300, deadline=None)
 def test_symbolic_derivative_matches_finite_difference(e, x):
     h = 1e-5
     d1 = simplify(differentiate(e))
     d3 = simplify(differentiate(simplify(differentiate(d1))))
-    values = [_try_eval(e, x + k * h) for k in (-1.0, 0.0, 1.0)]
+    stencil = [x + k * h for k in (-1.0, 0.0, 1.0)]
+    values = [_try_eval(e, p) for p in stencil]
     dv = _try_eval(d1, x)
     curvature = _try_eval(d3, x)
     assume(None not in values and dv is not None and curvature is not None)
+    assume(_shifts_keep_points_apart(e, stencil))
     assume(all(abs(v) < 50.0 for v in values))
     assume(abs(curvature) < 1e3)
     fd = (values[2] - values[0]) / (2.0 * h)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -11,11 +12,53 @@ from hypothesis import given, settings, strategies as st
 from opcalc import simplex as sx
 from opcalc.expr import parse
 from opcalc.simplex import (
-    MonteCarloConfig, SimplexSpec, chi_square_threshold, order_cell_key,
-    ordering_partition_check, partition_counts, remainder_by_slicing,
-    simplex_volume_exact, simplex_volume_montecarlo, sliced_simplex_volume,
+    MonteCarloConfig, SimplexSpec, chi_square_threshold, ordering_partition_check,
+    partition_counts, remainder_by_slicing, simplex_volume_exact,
+    simplex_volume_montecarlo, sliced_simplex_volume,
 )
+from opcalc.rng import uniform01_block
 from opcalc.taylor import expand, remainder_exact
+
+
+# ---------------------------------------------------------------------------
+# brute-force references for the tiling check
+# ---------------------------------------------------------------------------
+
+def order_cell_key(coords):
+    """Permutation key of the (unique) order cell containing the sample,
+    or None if any two coordinates coincide (boundary, measure zero)."""
+    values = [float(v) for v in coords]
+    if len(set(values)) != len(values):
+        return None
+    order = sorted(range(len(values)), key=lambda i: -values[i])
+    return tuple(order)
+
+
+def chain_matches(u):
+    """For each row, how many of the n! non-strict chain predicates
+    u[p0] >= u[p1] >= ... >= u[p(n-1)] it satisfies."""
+    u = np.asarray(u, dtype=float)
+    matches = np.zeros(u.shape[0], dtype=np.int64)
+    for perm in itertools.permutations(range(u.shape[1])):
+        mask = np.ones(u.shape[0], dtype=bool)
+        for k in range(u.shape[1] - 1):
+            mask &= u[:, perm[k]] >= u[:, perm[k + 1]]
+        matches += mask
+    return matches
+
+
+def reference_partition(u):
+    """`partition_counts` by scalar keys and the exhaustive chain audit."""
+    u = np.asarray(u, dtype=float)
+    index = {p: i for i, p in enumerate(sorted(itertools.permutations(range(u.shape[1]))))}
+    counts = np.zeros(len(index), dtype=np.int64)
+    keys = [order_cell_key(row) for row in u]
+    for key in keys:
+        if key is not None:
+            counts[index[key]] += 1
+    kept = np.array([key is not None for key in keys])
+    exactly_once = bool((chain_matches(u[kept]) == 1).all())
+    return counts, int((~kept).sum()), exactly_once
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +140,17 @@ def test_montecarlo_chunking_invariant(monkeypatch):
     assert whole == chunked
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_montecarlo_hits_equal_full_matrix_reference(n):
+    # lazy per-column draws against every coordinate drawn, across a chunk edge
+    samples, seed = sx._CHUNK_SAMPLES + 3, 2024
+    u = uniform01_block(seed, 0, samples * n).reshape(samples, n)
+    hits = int(np.all(u[:, :-1] >= u[:, 1:], axis=1).sum())
+    est, _ = simplex_volume_montecarlo(SimplexSpec(n, 0.0, 1.0),
+                                       MonteCarloConfig(samples, seed))
+    assert est == hits / samples
+
+
 def test_montecarlo_scaled_interval():
     spec = SimplexSpec(2, 1.0, 3.0)
     est, se = simplex_volume_montecarlo(spec, MonteCarloConfig(500_000, seed=3))
@@ -132,17 +186,66 @@ def test_partition_counts_constructed_duplicates():
 
 
 def test_partition_counts_matches_scalar_key():
-    from opcalc.rng import uniform01_block
-
     u = uniform01_block(11, 0, 300 * 3).reshape(300, 3)
     counts, discarded, _ = partition_counts(u)
     assert discarded == 0
-    import itertools
     perms = sorted(itertools.permutations(range(3)))
     manual = {p: 0 for p in perms}
     for row in u:
         manual[order_cell_key(row)] += 1
     assert list(counts) == [manual[p] for p in perms]
+
+
+_TIE_PRONE = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]),
+                       st.floats(allow_nan=False))
+
+
+@given(n=st.integers(min_value=2, max_value=6), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_partition_counts_equal_brute_force_reference(n, data):
+    row = st.one_of(st.lists(_TIE_PRONE, min_size=n, max_size=n),
+                    _TIE_PRONE.map(lambda v: [v] * n))
+    u = np.array(data.draw(st.lists(row, min_size=1, max_size=40)), dtype=float)
+    counts, discarded, exactly_once = partition_counts(u)
+    ref_counts, ref_discarded, ref_exactly_once = reference_partition(u)
+    assert np.array_equal(counts, ref_counts)
+    assert (discarded, exactly_once) == (ref_discarded, ref_exactly_once)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_partition_counts_rank_every_cell_once(n):
+    # one row per order cell, then the same rows with a tie, then all equal
+    perms = sorted(itertools.permutations(range(n)))
+    cells = -np.array(perms, dtype=float).argsort(axis=1)
+    tied = cells.copy()
+    tied[:, 0] = tied[:, 1]
+    u = np.vstack([cells, tied, np.full((1, n), 0.5)])
+    counts, discarded, exactly_once = partition_counts(u)
+    assert counts.tolist() == [1] * len(perms)
+    assert (discarded, exactly_once) == (len(perms) + 1, True)
+    assert [order_cell_key(r) for r in cells] == perms
+
+
+@pytest.mark.parametrize("row,groups", [
+    ([0.9, 0.5, 0.1], [1, 1, 1]),
+    ([0.5, 0.5, 0.1], [2, 1]),
+    ([-0.0, 0.0, 1.0], [2, 1]),
+    ([0.3, 0.3, 0.3, 0.3], [4]),
+    ([0.2, 0.7, 0.2, 0.7, 0.7], [2, 3]),
+    ([0.1, 0.4, 0.1, 0.4, 0.9, 0.9], [2, 2, 2]),
+])
+def test_tied_row_satisfies_product_of_factorials_predicates(row, groups):
+    # each tie group of size k may be listed in any of its k! orders
+    assert chain_matches([row])[0] == math.prod(math.factorial(k) for k in groups)
+
+
+def test_partition_counts_nan_row_is_not_exactly_once():
+    # a NaN coordinate satisfies no chain predicate, yet is no duplicate
+    u = np.array([[0.9, 0.5, 0.1], [0.9, math.nan, 0.1]])
+    _, discarded, exactly_once = partition_counts(u)
+    assert discarded == 0
+    assert not exactly_once
+    assert chain_matches(u).tolist() == [1, 0]
 
 
 def test_partition_check_three_dimensional():
@@ -210,8 +313,6 @@ def test_sliced_volume_linear():
 
 def test_sliced_volume_monte_carlo_oracle():
     # fraction of the unit square with t <= t_2 <= t_1 <= 1 for floor t=0.3
-    from opcalc.rng import uniform01_block
-
     t = 0.3
     u = uniform01_block(123, 0, 2 * 200_000).reshape(200_000, 2)
     inside = (u[:, 0] >= u[:, 1]) & (u[:, 1] >= t)
