@@ -15,10 +15,13 @@ Nodes are hash-consed, so each distinct subexpression exists once
 from __future__ import annotations
 
 import math
+import operator
 import re
 import struct
 import threading
 import weakref
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -411,18 +414,68 @@ def brief(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation runs a tape (Griewank & Walther, 2008).  Scalar path: math.*;
-# the array path uses numpy so quadrature evaluates a panel in one call.  Both
-# raise DomainError naming the subexpression on ln/division/power violations.
+# Evaluation runs a tape (Griewank & Walther, 2008) through one op table.
+# For each node kind, _OPS holds the scalar op (math.*), the array op (numpy,
+# so quadrature evaluates a panel in one call) and the domain guards, checked
+# in order before the op.  A guard's test reads the operands, floats or arrays
+# alike; POW's guards apply only for some exponents.  Ops of kinds that carry
+# a value (CONST, POW) take it first; a CONST op reads the point.
 # ---------------------------------------------------------------------------
 
 _EXP_OVERFLOW = 709.782712893384  # log(DBL_MAX)
 
 
+class _Guard(NamedTuple):
+    test: Callable                        # operands -> refused?
+    reason: str
+    applies: Callable = lambda c: True    # on the node's value
+    shows_operand: bool = False           # the scalar message names it
+
+
+class _Op(NamedTuple):
+    scalar: Callable
+    array: Callable
+    guards: tuple = ()
+
+
+_OPS = {
+    CONST: _Op(lambda c, x: c, lambda c, xs: np.full(xs.shape, c)),
+    ADD: _Op(operator.add, np.add),
+    SUB: _Op(operator.sub, np.subtract),
+    MUL: _Op(operator.mul, np.multiply),
+    DIV: _Op(operator.truediv, np.divide,
+             (_Guard(lambda a, b: b == 0.0, "division by zero"),)),
+    NEG: _Op(operator.neg, np.negative),
+    POW: _Op(lambda c, a: math.pow(a, c), lambda c, a: np.power(a, c), (
+        _Guard(lambda a: a == 0.0, "zero base with negative exponent",
+               lambda c: c < 0.0),
+        _Guard(lambda a: a < 0.0, "negative base with non-integer exponent",
+               lambda c: not c.is_integer()))),
+    SIN: _Op(math.sin, np.sin),
+    COS: _Op(math.cos, np.cos),
+    EXP: _Op(math.exp, np.exp, (_Guard(lambda a: a > _EXP_OVERFLOW, "exp overflow"),)),
+    LN: _Op(math.log, np.log,
+            (_Guard(lambda a: a <= 0.0, "ln of non-positive value", shows_operand=True),)),
+}
+
+
+def _resolve(kind: str, value: float | None) -> _Op:
+    """The op of a node: its value bound into both ops, its guards filtered."""
+    op = _OPS.get(kind)
+    if op is None:
+        raise ValueError(f"unknown node kind {kind!r}")
+    if value is None:
+        return op
+    return _Op(partial(op.scalar, value), partial(op.array, value),
+               tuple(g for g in op.guards if g.applies(value)))
+
+
 def _tape(e: Expr) -> tuple:
-    """(kind, value, left slot, right slot, weak reference to the node, slots
-    last read here) per distinct node of e, in the order a left-to-right walk
-    first completes them, so domain checks keep that walk's order.  Cached."""
+    """(scalar op, array op, operand slot i, operand slot j or -1, guards,
+    weak reference to the node, slots last read here) per distinct node of
+    e but x, which is slot 0; step s fills slot s + 1.  Steps come in the
+    order a left-to-right walk first completes them, so domain checks keep
+    that walk's order.  Cached."""
     if e._tape is None:
         steps: list[tuple] = []
         _visit(e, {}, steps)
@@ -434,54 +487,32 @@ def _tape(e: Expr) -> tuple:
 
 
 def _visit(node: Expr, slots: dict, steps: list) -> int:
+    if node.kind == VAR:
+        return 0
     slot = slots.get(node)
     if slot is None:
-        args = [_visit(c, slots, steps) for c in node.children] + [-1, -1]
+        args = [_visit(c, slots, steps) for c in node.children] or [0]  # CONST reads x
+        i, j = (args + [-1])[:2]  # j = -1: one operand
+        op = _resolve(node.kind, node.value)
+        steps.append((op.scalar, op.array, i, j, op.guards, weakref.ref(node)))
         slot = slots[node] = len(steps)
-        steps.append((node.kind, node.value, args[0], args[1], weakref.ref(node)))
     return slot
 
 
+def _refused(guard: _Guard, operands: tuple) -> str:
+    return f"{guard.reason} {operands[0]}" if guard.shows_operand else guard.reason
+
+
 def _run_scalar(tape: tuple, x: float) -> float:
-    v: list[float] = []
+    v = [x]
     push = v.append
-    for k, c, i, j, ref, _ in tape:  # ref: weak reference to the node, for messages
-        if k == CONST:
-            push(c)
-        elif k == VAR:
-            push(x)
-        elif k == MUL:
-            push(v[i] * v[j])
-        elif k == ADD:
-            push(v[i] + v[j])
-        elif k == SUB:
-            push(v[i] - v[j])
-        elif k == DIV:
-            if v[j] == 0.0:
-                raise DomainError(brief(ref()), x, "division by zero")
-            push(v[i] / v[j])
-        elif k == NEG:
-            push(-v[i])
-        elif k == POW:
-            if v[i] == 0.0 and c < 0.0:
-                raise DomainError(brief(ref()), x, "zero base with negative exponent")
-            if v[i] < 0.0 and c != int(c):
-                raise DomainError(brief(ref()), x, "negative base with non-integer exponent")
-            push(math.pow(v[i], c))
-        elif k == SIN:
-            push(math.sin(v[i]))
-        elif k == COS:
-            push(math.cos(v[i]))
-        elif k == EXP:
-            if v[i] > _EXP_OVERFLOW:
-                raise DomainError(brief(ref()), x, "exp overflow")
-            push(math.exp(v[i]))
-        elif k == LN:
-            if v[i] <= 0.0:
-                raise DomainError(brief(ref()), x, f"ln of non-positive value {v[i]}")
-            push(math.log(v[i]))
-        else:
-            raise ValueError(f"unknown node kind {k!r}")
+    for f, _, i, j, guards, ref, _ in tape:  # ref: weak reference to the node, for messages
+        if guards:
+            a = (v[i],) if j < 0 else (v[i], v[j])
+            for g in guards:
+                if g.test(*a):
+                    raise DomainError(brief(ref()), x, _refused(g, a))
+        push(f(v[i]) if j < 0 else f(v[i], v[j]))
     return v[-1]
 
 
@@ -505,42 +536,13 @@ def _refuse(bad: np.ndarray, node: Expr, xs: np.ndarray, reason: str) -> None:
 
 
 def _run_array(tape: tuple, xs: np.ndarray) -> np.ndarray:
-    v: list[np.ndarray] = []
+    v = [xs]
     push = v.append
-    for k, c, i, j, ref, dead in tape:
-        if k == CONST:
-            push(np.full(xs.shape, c))
-        elif k == VAR:
-            push(xs)
-        elif k == MUL:
-            push(v[i] * v[j])
-        elif k == ADD:
-            push(v[i] + v[j])
-        elif k == SUB:
-            push(v[i] - v[j])
-        elif k == DIV:
-            _refuse(v[j] == 0.0, ref(), xs, "division by zero")
-            push(v[i] / v[j])
-        elif k == NEG:
-            push(-v[i])
-        elif k == POW:
-            if c < 0.0:
-                _refuse(v[i] == 0.0, ref(), xs, "zero base with negative exponent")
-            if c != int(c):
-                _refuse(v[i] < 0.0, ref(), xs, "negative base with non-integer exponent")
-            push(np.power(v[i], c))
-        elif k == SIN:
-            push(np.sin(v[i]))
-        elif k == COS:
-            push(np.cos(v[i]))
-        elif k == EXP:
-            _refuse(v[i] > _EXP_OVERFLOW, ref(), xs, "exp overflow")
-            push(np.exp(v[i]))
-        elif k == LN:
-            _refuse(v[i] <= 0.0, ref(), xs, "ln of non-positive value")
-            push(np.log(v[i]))
-        else:
-            raise ValueError(f"unknown node kind {k!r}")
+    for _, f, i, j, guards, ref, dead in tape:
+        a = (v[i],) if j < 0 else (v[i], v[j])
+        for g in guards:
+            _refuse(g.test(*a), ref(), xs, g.reason)
+        push(f(*a))
         for q in dead:  # free each array after its last use
             v[q] = None
     return v[-1]
@@ -556,9 +558,11 @@ def evaluate_array(e: Expr, xs: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Differentiation.  The local folds below drop exact 0/1 terms so repeated
-# derivatives stay compact; they are bit-preserving (0+v, 1*v, v^1 are exact
-# identities in IEEE arithmetic).
+# Building.  _build returns a node, or what an exact identity folds it to:
+# 0 + v, v + 0, v - 0, 1 * v, v * 1, v / 1 and v^1 to v, a product with a
+# zero factor to 0, v^0 to 1 and -(-v) to v.  These hold in IEEE arithmetic
+# for finite v, up to the sign of zero, so repeated derivatives stay compact.
+# It tests before it builds, so no throwaway node enters the node table.
 # ---------------------------------------------------------------------------
 
 def _is_zero(e: Expr) -> bool:
@@ -569,39 +573,39 @@ def _is_one(e: Expr) -> bool:
     return e.kind == CONST and e.value == 1.0
 
 
-def _fold_add(l: Expr, r: Expr) -> Expr:
-    if _is_zero(l):
-        return r
-    if _is_zero(r):
-        return l
-    return add(l, r)
+def _build(kind: str, kids: tuple, value: float | None = None) -> Expr:
+    if kind == ADD:
+        if _is_zero(kids[0]):
+            return kids[1]
+        if _is_zero(kids[1]):
+            return kids[0]
+    elif kind == MUL:
+        if _is_zero(kids[0]) or _is_zero(kids[1]):
+            return const(0.0)
+        if _is_one(kids[0]):
+            return kids[1]
+        if _is_one(kids[1]):
+            return kids[0]
+    elif (kind == SUB and _is_zero(kids[1])) or (kind == DIV and _is_one(kids[1])):
+        return kids[0]
+    elif kind == POW and value in (0.0, 1.0):
+        return kids[0] if value == 1.0 else const(1.0)
+    elif kind == NEG and kids[0].kind == NEG:
+        return kids[0].children[0]
+    return Expr(kind, kids, value)
 
 
-def _fold_sub(l: Expr, r: Expr) -> Expr:
-    if _is_zero(r):
-        return l
-    if _is_zero(l):
+def _minus(l: Expr, r: Expr) -> Expr:
+    """l - r, built as -r when only l is zero: d(c - v) = -dv, where 0 - r
+    would differ from -r in the sign of zero."""
+    if _is_zero(l) and not _is_zero(r):
         return neg(r)
-    return sub(l, r)
+    return _build(SUB, (l, r))
 
 
-def _fold_mul(l: Expr, r: Expr) -> Expr:
-    if _is_zero(l) or _is_zero(r):
-        return const(0.0)
-    if _is_one(l):
-        return r
-    if _is_one(r):
-        return l
-    return mul(l, r)
-
-
-def _fold_power(base: Expr, exponent: float) -> Expr:
-    if exponent == 1.0:
-        return base
-    if exponent == 0.0:
-        return const(1.0)
-    return power(base, exponent)
-
+# ---------------------------------------------------------------------------
+# Differentiation.
+# ---------------------------------------------------------------------------
 
 def differentiate(e: Expr) -> Expr:
     """Exact symbolic derivative, memoized per node; exact at any order."""
@@ -613,138 +617,67 @@ def differentiate(e: Expr) -> Expr:
 
 
 def _derive(e: Expr) -> Expr:
-    k = e.kind
+    k, kids = e.kind, e.children
     if k == CONST:
         return const(0.0)
     if k == VAR:
         return const(1.0)
     if k == ADD:
-        return _fold_add(differentiate(e.children[0]), differentiate(e.children[1]))
+        return _build(ADD, tuple(map(differentiate, kids)))
     if k == SUB:
-        return _fold_sub(differentiate(e.children[0]), differentiate(e.children[1]))
+        return _minus(*map(differentiate, kids))
     if k == MUL:
-        l, r = e.children
-        return _fold_add(_fold_mul(differentiate(l), r), _fold_mul(l, differentiate(r)))
+        l, r = kids
+        return _build(ADD, (_build(MUL, (differentiate(l), r)),
+                            _build(MUL, (l, differentiate(r)))))
     if k == DIV:
-        u, v = e.children
-        numerator = _fold_sub(_fold_mul(differentiate(u), v), _fold_mul(u, differentiate(v)))
+        u, v = kids
+        numerator = _minus(_build(MUL, (differentiate(u), v)),
+                           _build(MUL, (u, differentiate(v))))
         if _is_zero(numerator):
             return const(0.0)
-        return div(numerator, power(v, 2.0))
+        return _build(DIV, (numerator, _build(POW, (v,), 2.0)))
+    if k not in _OPS:
+        raise ValueError(f"unknown node kind {k!r}")
+    u = kids[0]
+    du = differentiate(u)
+    if _is_zero(du):
+        return const(0.0)
     if k == NEG:
-        inner = differentiate(e.children[0])
-        if _is_zero(inner):
-            return const(0.0)
-        return neg(inner)
-    if k == POW:
-        u = e.children[0]
-        c = e.value
-        if c == 0.0:
-            return const(0.0)
-        return _fold_mul(_fold_mul(const(c), _fold_power(u, c - 1.0)), differentiate(u))
-    if k == SIN:
-        u = e.children[0]
-        return _fold_mul(cos(u), differentiate(u))
-    if k == COS:
-        u = e.children[0]
-        du = differentiate(u)
-        if _is_zero(du):
-            return const(0.0)
-        return _fold_mul(neg(sin(u)), du)
-    if k == EXP:
-        u = e.children[0]
-        return _fold_mul(exp(u), differentiate(u))
+        return neg(du)
     if k == LN:
-        u = e.children[0]
-        du = differentiate(u)
-        if _is_zero(du):
-            return const(0.0)
-        return div(du, u)
-    raise ValueError(f"unknown node kind {k!r}")
+        return _build(DIV, (du, u))
+    if k == SIN:
+        outer = cos(u)
+    elif k == COS:
+        outer = neg(sin(u))
+    elif k == EXP:
+        outer = e
+    else:
+        outer = _build(MUL, (const(e.value), _build(POW, (u,), e.value - 1.0)))
+    return _build(MUL, (outer, du))
 
 
 # ---------------------------------------------------------------------------
-# Simplification: value-preserving local rewrites only.  Constant folding
-# performs the node's single operation at fold time, so folded and unfolded
-# trees produce bit-identical values.  Folds that could raise (division by
-# zero, ln of a non-positive constant, invalid power) are skipped so error
-# behavior is unchanged.
+# Simplification: constant folding, then the identities of _build, bottom up.
+# Folding runs the node's scalar op and guards at fold time, so folded and
+# unfolded trees produce bit-identical values.  Where a guard refuses, math
+# raises or the result is not finite, the node stays, so error behaviour is
+# unchanged.
 # ---------------------------------------------------------------------------
 
-def _fold_constants(e: Expr) -> Expr | None:
-    kids = e.children
+def _fold_constants(kind: str, kids: tuple, value: float | None) -> Expr | None:
     if not all(c.kind == CONST for c in kids):
         return None
-    k = e.kind
-    if k == ADD:
-        return const(kids[0].value + kids[1].value)
-    if k == SUB:
-        return const(kids[0].value - kids[1].value)
-    if k == MUL:
-        return const(kids[0].value * kids[1].value)
-    if k == DIV:
-        if kids[1].value == 0.0:
-            return None
-        return const(kids[0].value / kids[1].value)
-    if k == NEG:
-        return const(-kids[0].value)
-    if k == POW:
-        v, c = kids[0].value, e.value
-        if (v == 0.0 and c < 0.0) or (v < 0.0 and c != int(c)):
-            return None
-        return const(math.pow(v, c))
-    if k == SIN:
-        return const(math.sin(kids[0].value))
-    if k == COS:
-        return const(math.cos(kids[0].value))
-    if k == EXP:
-        if kids[0].value > _EXP_OVERFLOW:
-            return None
-        return const(math.exp(kids[0].value))
-    if k == LN:
-        if kids[0].value <= 0.0:
-            return None
-        return const(math.log(kids[0].value))
-    return None
-
-
-def _rewrite(e: Expr) -> Expr:
+    op = _resolve(kind, value)
+    a = [c.value for c in kids]
+    if any(g.test(*a) for g in op.guards):
+        return None
     try:
-        folded = _fold_constants(e)
+        result = op.scalar(*a)
     except (OverflowError, ValueError):
-        folded = None
-    if folded is not None and math.isfinite(folded.value):
-        return folded
-    k = e.kind
-    if k == ADD:
-        l, r = e.children
-        if _is_zero(l):
-            return r
-        if _is_zero(r):
-            return l
-    elif k == SUB:
-        if _is_zero(e.children[1]):
-            return e.children[0]
-    elif k == MUL:
-        l, r = e.children
-        if _is_zero(l) or _is_zero(r):
-            return const(0.0)
-        if _is_one(l):
-            return r
-        if _is_one(r):
-            return l
-    elif k == DIV:
-        if _is_one(e.children[1]):
-            return e.children[0]
-    elif k == POW:
-        if e.value == 1.0:
-            return e.children[0]
-        if e.value == 0.0:
-            return const(1.0)
-    elif k == NEG:
-        if e.children[0].kind == NEG:
-            return e.children[0].children[0]
-    return e
+        return None
+    return const(result) if math.isfinite(result) else None
 
 
 def simplify(e: Expr) -> Expr:
@@ -753,6 +686,7 @@ def simplify(e: Expr) -> Expr:
         return e
     s = e._simplified and e._simplified()
     if s is None:
-        s = _rewrite(Expr(e.kind, tuple(simplify(c) for c in e.children), e.value))
+        kids = tuple(simplify(c) for c in e.children)
+        s = _fold_constants(e.kind, kids, e.value) or _build(e.kind, kids, e.value)
         object.__setattr__(e, "_simplified", weakref.ref(s))
     return s
