@@ -128,19 +128,27 @@ def _emit(args, command: str, config: dict, rows: list[dict],
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _points_list(text: str) -> list[float]:
+def _finite_float(text: str) -> float:
+    """The argparse type of every float flag: a finite number."""
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(f"bad points list {text!r}: {err}")
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _points_list(text: str) -> list[float]:
+    return [_finite_float(part) for part in text.split(",") if part.strip() != ""]
 
 
 def _add_output_flags(sp, default_tol=DEFAULT_QUAD_CONFIG.abs_tolerance):
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
-    sp.add_argument("--tol", type=float, default=default_tol,
+    sp.add_argument("--tol", type=_finite_float, default=default_tol,
                     help="absolute quadrature tolerance")
-    sp.add_argument("--rel-tol", type=float, default=0.0,
+    sp.add_argument("--rel-tol", type=_finite_float, default=0.0,
                     help="relative quadrature tolerance")
 
 
@@ -161,36 +169,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("expand", help="Taylor coefficients and P_N values")
     sp.add_argument("--f", required=True, help="expression in x")
-    sp.add_argument("--a", type=float, default=0.0, help="expansion base")
+    sp.add_argument("--a", type=_finite_float, default=0.0, help="expansion base")
     sp.add_argument("--n", type=int, required=True, help="expansion order")
     _add_point_flags(sp)
     _add_output_flags(sp)
 
     sp = sub.add_parser("remainder", help="remainder along every route")
     sp.add_argument("--f", required=True)
-    sp.add_argument("--a", type=float, default=0.0)
+    sp.add_argument("--a", type=_finite_float, default=0.0)
     sp.add_argument("--n", type=int, required=True)
     _add_point_flags(sp)
     _add_output_flags(sp)
 
     sp = sub.add_parser("simplex", help="order-cell volumes, exact vs Monte Carlo")
     sp.add_argument("--n", type=int, required=True, help="dimension (1..12)")
-    sp.add_argument("--a", type=float, default=0.0)
-    sp.add_argument("--x", type=float, default=1.0)
+    sp.add_argument("--a", type=_finite_float, default=0.0)
+    sp.add_argument("--x", type=_finite_float, default=1.0)
     sp.add_argument("--samples", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=2024)
     _add_output_flags(sp)
 
     sp = sub.add_parser("fixedpoint", help="Newton iteration trace")
     sp.add_argument("--f", required=True)
-    sp.add_argument("--x0", type=float, required=True)
+    sp.add_argument("--x0", type=_finite_float, required=True)
     sp.add_argument("--max-iter", type=int, default=50)
     _add_output_flags(sp, default_tol=1e-10)
 
     sp = sub.add_parser("verify", help="run the invariant suites")
     sp.add_argument("--suite", action="append", choices=SUITE_NAMES,
                     default=None, help="restrict to one suite (repeatable)")
-    sp.add_argument("--perturb-basis", type=float, default=0.0,
+    sp.add_argument("--perturb-basis", type=_finite_float, default=0.0,
                     help="fault-injection hook: scales the nested integral "
                          "of 1 by (1+eps) inside the basis check")
     sp.add_argument("--samples", type=int, default=1_000_000)
@@ -204,7 +212,10 @@ def _resolve_points(args) -> list[float]:
     if args.points:
         points.extend(args.points)
     if args.range:
-        lo, hi = float(args.range[0]), float(args.range[1])
+        try:
+            lo, hi = map(_finite_float, args.range[:2])
+        except argparse.ArgumentTypeError as err:
+            raise ValueError(f"--range LO and HI: {err}") from None
         count = float(args.range[2])
         if not (count >= 1 and count.is_integer()):  # rejects nan and inf too
             raise ValueError("--range COUNT must be a positive integer")
@@ -296,6 +307,8 @@ def cmd_simplex(args) -> int:
 
 
 def cmd_fixedpoint(args) -> int:
+    if args.max_iter < 0:
+        raise ValueError("--max-iter must be non-negative")
     f = parse(args.f)
     trace = newton(f, args.x0, args.tol, args.max_iter)
     rows = [{"k": 0, "iterate": trace.iterates[0], "residual": None}]

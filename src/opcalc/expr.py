@@ -491,16 +491,13 @@ def _visit(node: Expr, slots: dict, steps: list) -> int:
         return 0
     slot = slots.get(node)
     if slot is None:
-        args = [_visit(c, slots, steps) for c in node.children] or [0]  # CONST reads x
-        i, j = (args + [-1])[:2]  # j = -1: one operand
+        kids = node.children
+        i = _visit(kids[0], slots, steps) if kids else 0  # CONST reads x
+        j = _visit(kids[1], slots, steps) if len(kids) > 1 else -1
         op = _resolve(node.kind, node.value)
         steps.append((op.scalar, op.array, i, j, op.guards, weakref.ref(node)))
         slot = slots[node] = len(steps)
     return slot
-
-
-def _refused(guard: _Guard, operands: tuple) -> str:
-    return f"{guard.reason} {operands[0]}" if guard.shows_operand else guard.reason
 
 
 def _run_scalar(tape: tuple, x: float) -> float:
@@ -511,7 +508,8 @@ def _run_scalar(tape: tuple, x: float) -> float:
             a = (v[i],) if j < 0 else (v[i], v[j])
             for g in guards:
                 if g.test(*a):
-                    raise DomainError(brief(ref()), x, _refused(g, a))
+                    reason = f"{g.reason} {a[0]}" if g.shows_operand else g.reason
+                    raise DomainError(brief(ref()), x, reason)
         push(f(v[i]) if j < 0 else f(v[i], v[j]))
     return v[-1]
 
@@ -630,13 +628,14 @@ def _derive(e: Expr) -> Expr:
         l, r = kids
         return _build(ADD, (_build(MUL, (differentiate(l), r)),
                             _build(MUL, (l, differentiate(r)))))
-    if k == DIV:
+    if k == DIV:  # d(u / w^c) = (u'w - c u w') / w^(c+1), where v is w^c or w^1
         u, v = kids
-        numerator = _minus(_build(MUL, (differentiate(u), v)),
-                           _build(MUL, (u, differentiate(v))))
+        w, c = (v.children[0], v.value) if v.kind == POW and v.value != 0.0 else (v, 1.0)
+        numerator = _minus(_build(MUL, (differentiate(u), w)),
+                           _build(MUL, (_build(MUL, (const(c), u)), differentiate(w))))
         if _is_zero(numerator):
             return const(0.0)
-        return _build(DIV, (numerator, _build(POW, (v,), 2.0)))
+        return _build(DIV, (numerator, _build(POW, (w,), c + 1.0)))
     if k not in _OPS:
         raise ValueError(f"unknown node kind {k!r}")
     u = kids[0]

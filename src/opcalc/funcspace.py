@@ -18,7 +18,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .expr import Expr, brief, evaluate, evaluate_array
+from .expr import Expr, add, brief, const, evaluate, evaluate_array, mul
 
 
 class ToleranceNotMetError(ArithmeticError):
@@ -152,10 +152,10 @@ class QuadratureConfig:
     base_rule: str = "gk15"
 
     def __post_init__(self):
-        if not self.abs_tolerance >= 1e-14:
-            raise ValueError("abs_tolerance must be at least 1e-14")
-        if self.rel_tolerance < 0.0:
-            raise ValueError("rel_tolerance must be non-negative")
+        if not 1e-14 <= self.abs_tolerance < math.inf:
+            raise ValueError("abs_tolerance must be finite and at least 1e-14")
+        if not 0.0 <= self.rel_tolerance < math.inf:
+            raise ValueError("rel_tolerance must be finite and non-negative")
         if not 1 <= self.max_subdivision_depth <= 60:
             raise ValueError("max_subdivision_depth must be in 1..60")
         if self.base_rule not in PANEL_RULES:
@@ -239,7 +239,6 @@ class RealFunction:
         if isinstance(s, ExprSource):
             return s.expr
         if isinstance(s, OneSource):
-            from .expr import const
             return const(1.0)
         raise ValueError(f"function '{self.label}' has no symbolic backing")
 
@@ -271,7 +270,6 @@ def linear_combination(alpha: float, f: RealFunction, beta: float,
     domain = Interval(max(f.domain.a, g.domain.a), min(f.domain.b, g.domain.b))
     label = f"{alpha}*({f.label})+{beta}*({g.label})"
     if f.is_expr_backed() and g.is_expr_backed():
-        from .expr import add, const, mul
         combined = add(mul(const(alpha), f.as_expr()), mul(const(beta), g.as_expr()))
         return from_expr(combined, domain, label)
     return from_callable(

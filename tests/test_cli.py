@@ -144,6 +144,30 @@ def test_remainder_range_count_may_be_written_as_a_float(capsys):
     assert run_main(capsys, *argv, "3.0") == run_main(capsys, *argv, "3")
 
 
+_REMAINDER = ("remainder", "--f", "sin(x)", "--n", "1")
+
+
+@pytest.mark.parametrize("argv", [
+    (*_REMAINDER, "--points", "0.5", "--rel-tol", "nan"),
+    (*_REMAINDER, "--points", "0.5", "--tol", "inf"),
+    (*_REMAINDER, "--points", "0.5,nan"),
+    (*_REMAINDER, "--range", "0", "inf", "3"),
+    (*_REMAINDER, "--range", "nan", "1", "3"),
+    (*_REMAINDER, "--points", "0.5", "--a", "-inf"),
+    ("expand", "--f", "sin(x)", "--n", "1", "--a", "nan"),
+    ("fixedpoint", "--f", "x^2-2", "--x0", "1", "--tol", "nan"),
+    ("fixedpoint", "--f", "x^2-2", "--x0", "inf"),
+    ("fixedpoint", "--f", "x^2-2", "--x0", "1", "--max-iter", "-1"),
+    ("simplex", "--n", "3", "--x", "nan"),
+    ("verify", "--suite", "expr", "--perturb-basis", "inf"),
+])
+def test_non_finite_numbers_are_usage_errors(capsys, argv):
+    code, out, err = run_main(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert 0 < len(err) <= 1024
+
+
 def test_remainder_domain_violation_exit_three(capsys):
     code, _, err = run_main(capsys, "remainder", "--f", "ln(x)", "--a", "1",
                             "--n", "2", "--points", "-0.5")
@@ -195,8 +219,10 @@ def test_simplex_dimension_guard(capsys):
 # ---------------------------------------------------------------------------
 
 def test_expand_overflow_fails_fast_with_bounded_message(capsys):
+    # 100^k exp(100 a) overflows from order 8 at a = 6.6, inside a large DAG
     started = time.perf_counter()
-    code, out, err = run_main(capsys, "expand", "--f", "cos(x)/(2+x)", "--n", "12")
+    code, out, err = run_main(capsys, "expand", "--f", "exp(100*x)*cos(x)/(2+x)",
+                              "--a", "6.6", "--n", "12")
     assert time.perf_counter() - started < 1.0
     assert code == 3
     assert out == ""
@@ -208,6 +234,15 @@ def test_remainder_order_10_is_fast(capsys):
     code, out, _ = run_main(capsys, "remainder", "--f", "ln(1+x)", "--n", "10",
                             "--points", "0.5")
     assert time.perf_counter() - started < 1.0
+    assert code == 0
+    row = parse_json(out)["rows"][0]
+    assert row["max_gap"] <= 1e-9
+
+
+def test_remainder_of_a_quotient_at_order_12(capsys):
+    # the 13th derivative of ln(1+x) divides by (1+x)^13, not by (1+x)^(2^12)
+    code, out, _ = run_main(capsys, "remainder", "--f", "ln(1+x)", "--n", "12",
+                            "--points", "0.5")
     assert code == 0
     row = parse_json(out)["rows"][0]
     assert row["max_gap"] <= 1e-9

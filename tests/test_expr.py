@@ -198,6 +198,58 @@ def test_simplify_never_folds_erroring_constants():
         evaluate(s, 3.0)
 
 
+# Constant operands: signed zeros, negatives, exp(710), products and sums
+# that overflow, and with the exponents a zero base with a negative
+# exponent and a negative base with a non-integer one.
+_FOLD_OPERANDS = (0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 710.0, 1e200, -1e200,
+                  1.7e308, 1e-300)
+_FOLD_EXPONENTS = (-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0, 3.0)
+
+
+def _constant_nodes():
+    for a in map(const, _FOLD_OPERANDS):
+        for kind in (ex.NEG, ex.SIN, ex.COS, ex.EXP, ex.LN):
+            yield ex.Expr(kind, (a,))
+        for c in _FOLD_EXPONENTS:
+            yield ex.Expr(ex.POW, (a,), c)
+        for b in map(const, _FOLD_OPERANDS):
+            for kind in (ex.ADD, ex.SUB, ex.MUL, ex.DIV):
+                yield ex.Expr(kind, (a, b))
+
+
+def test_constant_folding_is_the_scalar_kernel():
+    folded = refused = 0
+    for node in _constant_nodes():
+        try:
+            value = evaluate(node, 0.0)
+        except DomainError:
+            assert simplify(node) is node, render(node)
+            refused += 1
+        else:  # nodes are interned by the bits of their value
+            assert simplify(node) is const(value), render(node)
+            folded += 1
+    assert folded > 500 and refused > 50
+
+
+def test_every_kind_evaluates_differentiates_and_renders():
+    u = ex.add(var(), const(2.0))
+    nodes = {ex.CONST: const(2.0), ex.VAR: var(), ex.POW: ex.power(u, 3.0)}
+    nodes.update({k: ex.Expr(k, (u, var())) for k in (ex.ADD, ex.SUB, ex.MUL, ex.DIV)})
+    nodes.update({k: ex.Expr(k, (u,)) for k in (ex.NEG, *ex.FUNC_KINDS)})
+    assert set(nodes) == set(ex._OPS) | {ex.VAR}
+    x, h = 0.5, 1e-6
+    for node in nodes.values():
+        assert parse(render(node)) is node
+        fd = (evaluate(node, x + h) - evaluate(node, x - h)) / (2.0 * h)
+        assert evaluate(differentiate(node), x) == pytest.approx(fd, rel=1e-6, abs=1e-9)
+        assert evaluate_array(node, np.array([x]))[0] == evaluate(node, x)
+    unknown = ex.Expr("tan", (var(),))
+    for use in (render, differentiate, lambda e: evaluate(e, x),
+                lambda e: evaluate_array(e, np.array([x]))):
+        with pytest.raises(ValueError):
+            use(unknown)
+
+
 # ---------------------------------------------------------------------------
 # Property tests
 # ---------------------------------------------------------------------------
@@ -355,7 +407,7 @@ def _nth_derivative(text, order):
 
 
 def test_brief_bounds_text_of_a_large_dag():
-    d = _nth_derivative("ln(1+x)", 9)
+    d = _nth_derivative("cos(x)/(2+x)", 6)  # 9,616 characters rendered
     text = brief(d)
     assert len(text) == ex._BRIEF_LIMIT and text.endswith("...")
     assert render(d).startswith(text[:-3])
@@ -384,13 +436,13 @@ def test_array_evaluation_frees_intermediates():
 
 
 def test_domain_error_text_is_bounded():
-    d = _nth_derivative("cos(x)/(2+x)", 10)
+    d = _nth_derivative("cos(x)/(2+x)", 10)  # divides by (2+x)^11: a pole at -2
     with pytest.raises(DomainError) as err:
-        evaluate(d, 0.0)
-    assert len(str(err.value)) <= 300
+        evaluate(d, -2.0)
+    assert len(str(err.value)) <= 300 and "division by zero" in str(err.value)
     with pytest.raises(DomainError) as err:
-        evaluate_array(d, np.array([0.0, 0.5]))
-    assert len(str(err.value)) <= 300
+        evaluate_array(d, np.array([0.0, -2.0]))
+    assert len(str(err.value)) <= 300 and err.value.x == -2.0
 
 
 def test_dropped_expansion_leaves_the_node_table():

@@ -71,6 +71,11 @@ def test_quadrature_config_validation():
         QuadratureConfig(abs_tolerance=1e-15)
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tolerance=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            QuadratureConfig(rel_tolerance=bad)
+        with pytest.raises(ValueError):
+            QuadratureConfig(abs_tolerance=bad)
     with pytest.raises(ValueError):
         QuadratureConfig(max_subdivision_depth=0)
     with pytest.raises(ValueError):

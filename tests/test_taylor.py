@@ -339,11 +339,6 @@ for text, order in json.loads(sys.argv[1]):
 print(json.dumps(results))
 """
 
-# (2+x)^(2^k) overflows at x = 0 from k = 10: the quotient rule squares the
-# denominator's power at every order, and power-of-power is not folded.
-_OVERFLOWS_FROM = {"cos(x)/(2.0+x)": 10, "x^2.0*ln(2.0+x)": 11}
-
-
 def _taylor_reference(text, order):
     namespace = {"sin": mpmath.sin, "cos": mpmath.cos, "exp": mpmath.exp,
                  "ln": mpmath.log}
@@ -356,10 +351,8 @@ def _taylor_reference(text, order):
 def test_expand_to_order_12_in_bounded_time_and_memory():
     texts = list(dict.fromkeys(render(e) for e in
                                _expr_corpus() + [pf.expr for pf in POOL]))
-    assert set(_OVERFLOWS_FROM) <= set(texts)
-    cases = [(t, _OVERFLOWS_FROM.get(t, 13) - 1) for t in texts]
-    cases += [(t, 12) for t in _OVERFLOWS_FROM]
-    cases += [("cos(x)/(2.0+x)", 10)]
+    assert {"cos(x)/(2.0+x)", "x^2.0*ln(2.0+x)"} <= set(texts)  # quotients
+    cases = [(t, 12) for t in texts]
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-c", _EXPAND_IN_CHILD, json.dumps(cases)],
@@ -367,10 +360,6 @@ def test_expand_to_order_12_in_bounded_time_and_memory():
     assert proc.returncode == 0, proc.stderr[-2000:]
     for (text, order), (seconds, outcome) in zip(cases, json.loads(proc.stdout)):
         assert seconds < 0.5, (text, order, seconds)
-        if order >= _OVERFLOWS_FROM.get(text, 13):
-            assert isinstance(outcome, str), (text, order)
-            assert outcome.startswith("domain violation") and len(outcome) <= 300
-            continue
-        assert len(outcome) == order + 1, (text, order, outcome)
+        assert isinstance(outcome, list) and len(outcome) == order + 1, (text, outcome)
         for k, (got, ref) in enumerate(zip(outcome, _taylor_reference(text, order))):
             assert abs(got - ref) <= 1e-10 * (1.0 + abs(ref)), (text, k, got, ref)
