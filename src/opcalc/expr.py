@@ -628,7 +628,9 @@ def _derive(e: Expr) -> Expr:
         l, r = kids
         return _build(ADD, (_build(MUL, (differentiate(l), r)),
                             _build(MUL, (l, differentiate(r)))))
-    if k == DIV:  # d(u / w^c) = (u'w - c u w') / w^(c+1), where v is w^c or w^1
+    if k == DIV:  # d(u / w^c) = (u'w - c u w') / w^(c+1), so the n-th derivative
+        # divides by w^(c+n), not by w^(c 2^n).  A plain v is w^1; v = w^0 is
+        # kept whole, since dividing by w would add a pole at w = 0.
         u, v = kids
         w, c = (v.children[0], v.value) if v.kind == POW and v.value != 0.0 else (v, 1.0)
         numerator = _minus(_build(MUL, (differentiate(u), w)),
