@@ -23,7 +23,7 @@ from .funcspace import (
 from .operators import (
     Compose, Differentiate, EvaluateAt, Identity, IntegrateFrom, OperatorNode,
     Power, Scale, Sum, UnsupportedDifferentiationError, apply, check_linearity,
-    ftoc_operator, iterated_integral_one, monotone_bound,
+    ftoc_operator, iterated_integral, iterated_integral_one, monotone_bound,
 )
 from .report import CheckReport
 from .simplex import (

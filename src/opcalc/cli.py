@@ -23,8 +23,8 @@ from .fixedpoint import IterationDomainError, newton
 from .funcspace import DEFAULT_QUAD_CONFIG, QuadratureConfig
 from .operators import UnsupportedDifferentiationError
 from .simplex import (
-    MonteCarloConfig, SimplexSpec, ordering_partition_check,
-    simplex_volume_exact, simplex_volume_montecarlo,
+    PARTITION_DIMENSIONS, MonteCarloConfig, SimplexSpec,
+    ordering_partition_check, simplex_volume_exact, simplex_volume_montecarlo,
 )
 from .taylor import evaluate_polynomial, expand, remainder_routes
 from .verify import SUITE_NAMES, VerifyConfig, run_suites
@@ -290,7 +290,7 @@ def cmd_simplex(args) -> int:
         "chi_square": None, "chi_square_threshold": None,
         "max_cell_z": None, "partition_pass": None,
     }
-    if 2 <= args.n <= 6:
+    if args.n in PARTITION_DIMENSIONS:
         partition = ordering_partition_check(args.n, mc)
         row.update({
             "classified": partition.classified,

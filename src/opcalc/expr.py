@@ -296,14 +296,19 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "number":
             raise ParseError(tok.offset, "exponent must be a constant", "number")
-        self.advance()
-        return sign * float(tok.text)
+        return sign * self._number()
+
+    def _number(self) -> float:
+        tok = self.advance()
+        value = float(tok.text)
+        if not math.isfinite(value):
+            raise ParseError(tok.offset, "number overflows a float", "a finite number")
+        return value
 
     def parse_base(self) -> Expr:
         tok = self.peek()
         if tok.kind == "number":
-            self.advance()
-            return const(float(tok.text))
+            return const(self._number())
         if tok.kind == "ident":
             self.advance()
             if tok.text == "x":
@@ -682,7 +687,8 @@ def _fold_constants(kind: str, kids: tuple, value: float | None) -> Expr | None:
 
 
 def simplify(e: Expr) -> Expr:
-    """Bottom-up application of the value-preserving rewrites, memoized."""
+    """Bottom-up application of the rewrites, memoized: the value is kept
+    wherever e evaluates, but 0*v folds to 0 and drops v's domain error."""
     if not e.children:
         return e
     s = e._simplified and e._simplified()

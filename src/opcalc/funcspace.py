@@ -3,11 +3,9 @@ that realize the integral operator and the sup-norm bound machinery.
 
 Quadrature is adaptive bisection over a fixed 15-point Gauss-Kronrod panel;
 the panel error estimate is the difference between the Kronrod value and
-the embedded 7-point Gauss value.  A non-nested 15/7 Gauss pair built from
-numpy's Legendre nodes is available as an alternative rule and doubles as
-an independent cross-check of the embedded constants.  Many integrals
-bisect together in lock-step rounds, one integrand evaluation per round,
-which is what makes nested integrals (an integral-backed integrand) cheap.
+the embedded 7-point Gauss value.  Many integrals bisect together in
+lock-step rounds, one integrand evaluation per round, which is what makes
+nested integrals (an integral-backed integrand) cheap.
 """
 
 from __future__ import annotations
@@ -50,7 +48,9 @@ class Interval:
     def length(self) -> float:
         return self.b - self.a
 
-    def contains(self, x: float, slack: float = 0.0) -> bool:
+    def contains(self, x: float) -> bool:
+        """a <= x <= b, up to a rounding slack of 1e-9 * (1 + length)."""
+        slack = 1e-9 * (1.0 + self.length())
         return self.a - slack <= x <= self.b + slack
 
 
@@ -110,9 +110,6 @@ _GK15_WEIGHTS = _mirror(_GK15_WEIGHTS_HALF, negate=False)
 _G7_EMBEDDED = np.zeros(15)
 _G7_EMBEDDED[1::2] = _mirror(_G7_WEIGHTS_HALF, negate=False)   # Gauss nodes sit at odd slots
 
-_G15_NODES, _G15_WEIGHTS = np.polynomial.legendre.leggauss(15)
-_G7_NODES, _G7_WEIGHTS = np.polynomial.legendre.leggauss(7)
-
 
 def _panel_gk15(feval, lo: np.ndarray, hi: np.ndarray):
     hw = 0.5 * (hi - lo)
@@ -123,23 +120,11 @@ def _panel_gk15(feval, lo: np.ndarray, hi: np.ndarray):
     return high, np.abs(high - low)
 
 
-def _panel_gauss_pair(feval, lo: np.ndarray, hi: np.ndarray):
-    hw = 0.5 * (hi - lo)
-    mid = 0.5 * (lo + hi)
-    vals = feval(np.concatenate([(mid[:, None] + hw[:, None] * _G15_NODES).ravel(),
-                                 (mid[:, None] + hw[:, None] * _G7_NODES).ravel()]))
-    high = hw * np.vecdot(vals[:15 * len(lo)].reshape(-1, 15), _G15_WEIGHTS)
-    low = hw * np.vecdot(vals[15 * len(lo):].reshape(-1, 7), _G7_WEIGHTS)
-    return high, np.abs(high - low)
-
-
 # A rule maps arrays of panels to (estimates, error estimates), calling feval
 # once.  np.vecdot is np.dot per panel, so a panel's bits do not depend on
-# its batch (a BLAS matrix-vector product does not promise that).
-PANEL_RULES = {
-    "gk15": _panel_gk15,
-    "gauss15_7": _panel_gauss_pair,
-}
+# its batch (a BLAS matrix-vector product does not promise that).  _bisect
+# looks the rule up here on every call, so a wrapper put here sees each one.
+PANEL_RULES = {"gk15": _panel_gk15}
 
 
 @dataclass(frozen=True)
@@ -149,7 +134,6 @@ class QuadratureConfig:
     abs_tolerance: float = 1e-10
     rel_tolerance: float = 0.0
     max_subdivision_depth: int = 48
-    base_rule: str = "gk15"
 
     def __post_init__(self):
         if not 1e-14 <= self.abs_tolerance < math.inf:
@@ -158,8 +142,6 @@ class QuadratureConfig:
             raise ValueError("rel_tolerance must be finite and non-negative")
         if not 1 <= self.max_subdivision_depth <= 60:
             raise ValueError("max_subdivision_depth must be in 1..60")
-        if self.base_rule not in PANEL_RULES:
-            raise ValueError(f"unknown base rule {self.base_rule!r}")
 
 
 DEFAULT_QUAD_CONFIG = QuadratureConfig()
@@ -289,8 +271,7 @@ _SLICE_POINTS = 1024  # integrand points per eval_array call: bounds nested memo
 
 
 def _check_range(f: RealFunction, lo: float, hi: float) -> None:
-    slack = 1e-9 * (1.0 + f.domain.length())
-    if not (f.domain.contains(lo, slack) and f.domain.contains(hi, slack)):
+    if not (f.domain.contains(lo) and f.domain.contains(hi)):
         raise ValueError(
             f"integration range [{lo}, {hi}] outside domain "
             f"[{f.domain.a}, {f.domain.b}] of '{f.label}'"
@@ -309,7 +290,7 @@ def _bisect(f: RealFunction, lo: np.ndarray, hi: np.ndarray,
         return np.concatenate([f.eval_array(ts[i:i + _SLICE_POINTS])
                                for i in range(0, len(ts), _SLICE_POINTS)])
 
-    panel = PANEL_RULES[cfg.base_rule]
+    panel = PANEL_RULES["gk15"]
     value, err = panel(feval, lo, hi)
     if (err <= cfg.abs_tolerance).all():  # within every budget: nothing to split
         return value

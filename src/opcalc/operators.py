@@ -16,13 +16,13 @@ no other operator-algebra rewriting is attempted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .expr import const, differentiate, mul, simplify
 from .funcspace import (
     DEFAULT_QUAD_CONFIG, Interval, IntegralSource, QuadratureConfig,
     RealFunction, constant_one, from_callable, from_expr, from_integral,
-    linear_combination, sup_abs,
+    linear_combination, span_interval, sup_abs,
 )
 from .report import CheckReport, from_gap
 
@@ -156,8 +156,7 @@ def apply(op: OperatorNode, f: RealFunction,
     if isinstance(op, Differentiate):
         return _apply_differentiate(f)
     if isinstance(op, IntegrateFrom):
-        slack = 1e-9 * (1.0 + f.domain.length())
-        if not f.domain.contains(op.base, slack):
+        if not f.domain.contains(op.base):
             raise ValueError(
                 f"integration base {op.base} outside domain "
                 f"[{f.domain.a}, {f.domain.b}] of '{f.label}'"
@@ -194,6 +193,18 @@ def ftoc_operator(a: float) -> OperatorNode:
     return Sum(EvaluateAt(a), Compose(IntegrateFrom(a), Differentiate()))
 
 
+def iterated_integral(g: RealFunction, n: int, a: float,
+                      cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG) -> RealFunction:
+    """I_a^n g as n literal applications of I_a.  To bound cost, inner levels
+    run at an absolute tolerance of at least 1e-8 and a subdivision depth of
+    at most 20; only the outermost level runs at cfg."""
+    inner_cfg = replace(cfg, abs_tolerance=max(cfg.abs_tolerance, 1e-8),
+                        max_subdivision_depth=min(cfg.max_subdivision_depth, 20))
+    for level in range(n):
+        g = apply(IntegrateFrom(a), g, cfg if level == n - 1 else inner_cfg)
+    return g
+
+
 def iterated_integral_one(n: int, a: float, x: float,
                           cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG) -> float:
     """Value of the n-fold iterated integral of 1 from a, at x, computed by
@@ -204,12 +215,7 @@ def iterated_integral_one(n: int, a: float, x: float,
     x = float(x)
     if x == a:
         return 0.0
-    lo, hi = min(a, x), max(a, x)
-    iv = Interval(lo - 0.5, hi + 0.5)
-    g = constant_one(iv)
-    for _ in range(n):
-        g = apply(IntegrateFrom(a), g, cfg)
-    return g(x)
+    return iterated_integral(constant_one(span_interval(a, x)), n, a, cfg)(x)
 
 
 def monotone_bound(n: int, g: RealFunction, a: float, x: float,

@@ -32,6 +32,8 @@ if TYPE_CHECKING:
 
 _CHUNK_SAMPLES = 1 << 18
 
+PARTITION_DIMENSIONS = range(2, 7)  # the n the partition check runs at
+
 CHI_SQUARE_CONFIDENCE = 0.999
 
 
@@ -162,8 +164,9 @@ def chi_square_threshold(cells: int, confidence: float = CHI_SQUARE_CONFIDENCE) 
 
 def ordering_partition_check(n: int, cfg: MonteCarloConfig) -> PartitionReport:
     """Sample the unit cube and verify the n! order cells tile it evenly."""
-    if not 2 <= n <= 6:
-        raise ValueError("partition check supports 2 <= n <= 6")
+    if n not in PARTITION_DIMENSIONS:
+        raise ValueError(f"partition check supports {PARTITION_DIMENSIONS[0]} "
+                         f"<= n <= {PARTITION_DIMENSIONS[-1]}")
     cells = math.factorial(n)
     counts = np.zeros(cells, dtype=np.int64)
     discarded = 0

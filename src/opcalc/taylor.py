@@ -29,10 +29,10 @@ from .expr import (
     var,
 )
 from .funcspace import (
-    DEFAULT_QUAD_CONFIG, Interval, QuadratureConfig, from_callable, from_expr,
-    integrate, integrate_many, span_interval, sup_abs,
+    DEFAULT_QUAD_CONFIG, QuadratureConfig, from_callable, from_expr, integrate,
+    integrate_many, span_interval,
 )
-from .operators import IntegrateFrom, Power, apply
+from .operators import iterated_integral, monotone_bound
 from .report import CheckReport, from_gap
 from .simplex import remainder_by_slicing
 
@@ -63,11 +63,6 @@ class TaylorExpansion:
     def residual_integrand(self) -> Expr:
         """The (N+1)-th derivative, the integrand of the residual term."""
         return self.derivative_exprs[-1]
-
-    def residual_operator(self) -> Power:
-        """The operator I_a^{N+1} whose image of the (N+1)-th derivative is
-        the remainder; apply it to residual_integrand() to evaluate."""
-        return Power(IntegrateFrom(self.base), self.order + 1)
 
 
 def _initial_expansion(f: Expr, a: float) -> TaylorExpansion:
@@ -139,50 +134,26 @@ def remainder_exact(t: TaylorExpansion, x: float,
 
 def remainder_nested(t: TaylorExpansion, x: float,
                      cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG) -> float:
-    """The residual as N+1 literally nested quadratures, innermost variable
-    integrated first from the base, before any order exchange.
-
-    Inner levels run at a loosened absolute tolerance (1e-8) to bound cost;
-    only the outermost level uses the caller's tolerance.
-    """
+    """The residual I_a^{N+1} f^(N+1) as N+1 literally nested quadratures
+    (operators.iterated_integral), before any order exchange."""
     n = t.order
     if n + 1 > NESTED_MAX_DEPTH:
-        raise ValueError(
-            f"nested remainder supports order+1 <= {NESTED_MAX_DEPTH}"
-        )
+        raise ValueError(f"nested remainder supports order+1 <= {NESTED_MAX_DEPTH}")
     x = float(x)
     a = t.base
     if x == a:
         return 0.0
-    inner_cfg = QuadratureConfig(
-        abs_tolerance=max(cfg.abs_tolerance, 1e-8),
-        rel_tolerance=cfg.rel_tolerance,
-        max_subdivision_depth=min(cfg.max_subdivision_depth, 20),
-        base_rule=cfg.base_rule,
-    )
-    g = from_expr(t.derivative_exprs[n + 1], span_interval(a, x))
-    for level in range(n + 1):
-        level_cfg = cfg if level == n else inner_cfg
-        g = apply(IntegrateFrom(a), g, level_cfg)
-    return g(x)
+    g = from_expr(t.residual_integrand(), span_interval(a, x))
+    return iterated_integral(g, n + 1, a, cfg)(x)
 
 
 def remainder_bound(t: TaylorExpansion, x: float,
                     cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG) -> float:
-    """sup over the span of |f^(N+1)| times |x-a|^(N+1)/(N+1)!.
-
-    For x < a the sup is taken over [x, a] (oriented extension of the
-    stated inequality).
-    """
-    x = float(x)
+    """sup |f^(N+1)| times |x-a|^(N+1)/(N+1)!: operators.monotone_bound on
+    [min(a,x), max(a,x)], so x < a is the oriented extension of the bound."""
     a = t.base
-    if x == a:
-        return 0.0
-    n = t.order
-    iv = Interval(min(a, x), max(a, x))
-    deriv = from_expr(t.derivative_exprs[n + 1], span_interval(a, x))
-    s = sup_abs(deriv, iv, cfg)
-    return s * abs(x - a) ** (n + 1) / math.factorial(n + 1)
+    deriv = from_expr(t.residual_integrand(), span_interval(a, x))
+    return monotone_bound(t.order + 1, deriv, min(a, x), max(a, x), cfg)
 
 
 def verify_exchange(g: tuple[Expr, Expr], a: float, upper: float,
@@ -197,7 +168,7 @@ def verify_exchange(g: tuple[Expr, Expr], a: float, upper: float,
     gi, gj = g
     a = float(a)
     upper = float(upper)
-    iv = span_interval(a, upper) if upper != a else Interval(a - 1e-9, a + 1e-9)
+    iv = span_interval(a, upper)
     fi = from_expr(gi, iv, f"gi={render(gi)}")
     fj = from_expr(gj, iv, f"gj={render(gj)}")
 

@@ -27,7 +27,7 @@ from .funcspace import (
 )
 from .operators import (
     Compose, Differentiate, EvaluateAt, IntegrateFrom, Scale,
-    UnsupportedDifferentiationError, apply, ftoc_operator,
+    UnsupportedDifferentiationError, apply, ftoc_operator, iterated_integral,
     iterated_integral_one, monotone_bound,
 )
 from .pool import default_pool
@@ -235,9 +235,7 @@ def suite_operators(cfg: VerifyConfig) -> list[CheckReport]:
     for pf in pool:
         g = pf.function()
         for n in (1, 2, 3):
-            nested = g
-            for _ in range(n):
-                nested = apply(IntegrateFrom(pf.base), nested, quad)
+            nested = iterated_integral(g, n, pf.base, quad)
             for x in pf.probes(20, nonnegative_only=True):
                 if x == pf.base:
                     continue

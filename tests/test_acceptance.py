@@ -23,11 +23,11 @@ from opcalc.pool import default_pool
 from opcalc.rng import CounterStream
 from opcalc.simplex import (
     MonteCarloConfig, SimplexSpec, ordering_partition_check,
-    remainder_by_slicing, simplex_volume_exact, simplex_volume_montecarlo,
+    simplex_volume_exact, simplex_volume_montecarlo,
 )
 from opcalc.taylor import (
-    expand, remainder_bound, remainder_direct, remainder_exact,
-    remainder_nested, verify_exchange,
+    expand, remainder_bound, remainder_direct, remainder_routes,
+    verify_exchange,
 )
 
 POOL = default_pool()
@@ -73,19 +73,11 @@ def test_criterion_2_remainder_four_way_agreement():
         for pf in POOL:
             for order in range(6):
                 t = expand(pf.expr, pf.base, order)
+                limit = 1e-6 if order <= 3 else 1e-7
                 for x in pf.probes(10):
-                    values = [
-                        remainder_direct(t, x),
-                        remainder_exact(t, x),
-                        remainder_by_slicing(t, x),
-                    ]
-                    if order <= 3:
-                        values.append(remainder_nested(t, x))
-                        limit = 1e-6
-                    else:
-                        limit = 1e-7
-                    gap = max(abs(p - q) for p in values for q in values)
-                    assert gap <= limit, (pf.label, order, x, gap)
+                    row = remainder_routes(t, x)
+                    assert (row["nested_integral"] is not None) == (order <= 3)
+                    assert row["max_gap"] <= limit, (pf.label, order, x, row["max_gap"])
         assert time.perf_counter() - started <= 120.0
 
 

@@ -168,6 +168,23 @@ def test_non_finite_numbers_are_usage_errors(capsys, argv):
     assert 0 < len(err) <= 1024
 
 
+@pytest.mark.parametrize("text, code, offset", [
+    ("1e999*x", 2, 0),
+    ("x^1e999", 2, 2),
+    ("x^(-1e999)", 2, 4),
+    ("2*x+1e400", 2, 4),
+    ("1e-999*x", 0, None),     # underflows to 0.0: still a number
+    ("1e308*10*x", 3, None),   # finite literals whose product overflows
+])
+def test_overflowing_number_literals_are_parse_errors(capsys, text, code, offset):
+    got, out, err = run_main(capsys, "expand", "--f", text, "--n", "1")
+    assert got == code
+    if offset is not None:
+        assert out == ""
+        assert err == (f"error: parse error at offset {offset}: number overflows "
+                       f"a float (expected a finite number)\n")
+
+
 def test_remainder_domain_violation_exit_three(capsys):
     code, _, err = run_main(capsys, "remainder", "--f", "ln(x)", "--a", "1",
                             "--n", "2", "--points", "-0.5")

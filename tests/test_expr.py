@@ -183,6 +183,15 @@ def test_simplify_drops_zero_product():
     assert simplify(parse("0*sin(x)+x")) == var()
 
 
+def test_simplify_drops_the_domain_error_of_a_zero_product():
+    # value kept wherever the original evaluates, not its domain errors
+    s = simplify(parse("0*ln(x)"))
+    assert s is const(0.0)
+    assert evaluate(s, -1.0) == 0.0
+    with pytest.raises(DomainError):
+        evaluate(parse("0*ln(x)"), -1.0)
+
+
 def test_simplify_folds_constants():
     assert simplify(parse("2*3")) == const(6.0)
 

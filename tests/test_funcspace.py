@@ -44,13 +44,10 @@ def test_gk15_polynomial_degree_exactness(degree):
     assert abs(value - exact) < 1e-13
 
 
-def test_both_rules_agree():
-    f = f_of("sin(x)*exp(x)")
-    for rule in ("gk15", "gauss15_7"):
-        cfg = QuadratureConfig(base_rule=rule)
-        got = integrate(f, 0.0, 2.0, cfg)
-        exact = (math.sin(2) - math.cos(2)) / 2 * math.exp(2) + 0.5
-        assert got == pytest.approx(exact, abs=1e-11)
+def test_gk15_integrates_to_closed_form():
+    got = integrate(f_of("sin(x)*exp(x)"), 0.0, 2.0)
+    exact = (math.sin(2) - math.cos(2)) / 2 * math.exp(2) + 0.5
+    assert got == pytest.approx(exact, abs=1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +61,12 @@ def test_interval_validation():
         Interval(2.0, 1.0)
     with pytest.raises(ValueError):
         Interval(0.0, math.inf)
+
+
+def test_interval_contains_allows_rounding_slack():
+    iv = Interval(0.0, 1.0)   # slack 1e-9 * (1 + 1) = 2e-9
+    assert iv.contains(0.5) and iv.contains(1.0 + 1.5e-9) and iv.contains(-1.5e-9)
+    assert not iv.contains(1.0 + 3e-9) and not iv.contains(-3e-9)
 
 
 def test_quadrature_config_validation():
@@ -80,8 +83,6 @@ def test_quadrature_config_validation():
         QuadratureConfig(max_subdivision_depth=0)
     with pytest.raises(ValueError):
         QuadratureConfig(max_subdivision_depth=61)
-    with pytest.raises(ValueError):
-        QuadratureConfig(base_rule="simpson")
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +246,7 @@ def _ref_gk15(feval, lo, hi):
     return high, abs(high - low)
 
 
-def _ref_gauss_pair(feval, lo, hi):
-    hw = 0.5 * (hi - lo)
-    mid = 0.5 * (lo + hi)
-    high = hw * float(np.dot(fs._G15_WEIGHTS, feval(mid + hw * fs._G15_NODES)))
-    low = hw * float(np.dot(fs._G7_WEIGHTS, feval(mid + hw * fs._G7_NODES)))
-    return high, abs(high - low)
-
-
-REF_RULES = {"gk15": _ref_gk15, "gauss15_7": _ref_gauss_pair}
+REF_RULES = {"gk15": _ref_gk15}
 
 
 def _ref_adapt(panel, feval, lo, hi, value, err, budget, floor, depth):
@@ -290,14 +283,12 @@ def ref_integrate(f, a, x, cfg, panels):
     if hi < lo:
         lo, hi = hi, lo
         sign = -1.0
-    slack = 1e-9 * (1.0 + f.domain.length())
-    if not (f.domain.contains(lo, slack) and f.domain.contains(hi, slack)):
+    if not (f.domain.contains(lo) and f.domain.contains(hi)):
         raise ValueError("integration range outside domain")
-    rule = REF_RULES[cfg.base_rule]
 
     def panel(feval, lo, hi):
         panels[0] += 1
-        return rule(feval, lo, hi)
+        return _ref_gk15(feval, lo, hi)
 
     def feval(ts):
         return ref_eval_array(f, ts, panels)
@@ -336,7 +327,6 @@ limits = st.floats(min_value=-1.0, max_value=1.5)
 
 @given(
     text=st.sampled_from(NEST_POOL),
-    rule=st.sampled_from(sorted(fs.PANEL_RULES)),
     tol=st.sampled_from([1e-6, 1e-9, 1e-12]),
     rel=st.sampled_from([0.0, 1e-9]),
     bases=st.lists(limits, max_size=3),
@@ -345,12 +335,12 @@ limits = st.floats(min_value=-1.0, max_value=1.5)
     with_a=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
-def test_integrate_many_matches_recursive_reference(text, rule, tol, rel, bases,
-                                                    a, xs, with_a):
+def test_integrate_many_matches_recursive_reference(text, tol, rel, bases, a, xs,
+                                                    with_a):
     # each nesting level multiplies the reference's cost by ~15
     assume(len(bases) < 2 or tol >= 1e-9)
     assume(len(bases) < 3 or (tol >= 1e-6 and len(xs) <= 2))
-    cfg = QuadratureConfig(abs_tolerance=tol, rel_tolerance=rel, base_rule=rule)
+    cfg = QuadratureConfig(abs_tolerance=tol, rel_tolerance=rel)
     g = from_expr(parse(text), NEST_IV)
     for base in bases:
         g = from_integral(base, g, cfg)

@@ -11,7 +11,7 @@ from opcalc.funcspace import (
 from opcalc.operators import (
     Compose, Differentiate, EvaluateAt, Identity, IntegrateFrom, Power, Scale,
     Sum, UnsupportedDifferentiationError, apply, check_linearity, describe,
-    ftoc_operator, iterated_integral_one, monotone_bound,
+    ftoc_operator, iterated_integral, iterated_integral_one, monotone_bound,
 )
 
 TOL = DEFAULT_QUAD_CONFIG.abs_tolerance
@@ -137,6 +137,34 @@ def test_ftoc_fixed_point_invariant(text):
     for k in range(20):
         x = lo + (hi - lo) * k / 19.0
         assert abs(g(x) - f(x)) <= 5.0 * TOL
+
+
+# ---------------------------------------------------------------------------
+# iterated_integral
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_iterated_integral_of_exp_matches_closed_form(n):
+    # I_0^n exp = exp(x) - sum_{k<n} x^k/k!, on both sides of the base
+    nested = iterated_integral(f_of("exp(x)", Interval(-2.0, 2.0)), n, 0.0)
+    for x in (-1.5, -0.5, 0.7, 1.5):
+        closed = math.exp(x) - sum(x ** k / math.factorial(k) for k in range(n))
+        assert nested(x) == pytest.approx(closed, abs=10 * TOL)
+
+
+def test_iterated_integral_levels_differentiate_back_to_the_level_below():
+    g = f_of("sin(x)")
+    nested = iterated_integral(g, 4, 0.25)
+    assert nested.source.cfg is DEFAULT_QUAD_CONFIG   # outermost level
+    level = nested
+    for _ in range(4):
+        below = apply(Differentiate(), level)
+        assert below is level.source.inner
+        level = below
+        if level is not g:                             # inner levels loosened
+            assert level.source.cfg.abs_tolerance == 1e-8
+            assert level.source.cfg.max_subdivision_depth == 20
+    assert level is g
 
 
 # ---------------------------------------------------------------------------

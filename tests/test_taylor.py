@@ -84,13 +84,13 @@ def test_expansion_field_invariants():
         TaylorExpansion(0.0, 1, (1.0,), var(), (var(), const(1.0), const(0.0)))
 
 
-def test_residual_operator_evaluates_remainder():
+def test_iterated_integral_of_residual_integrand_is_remainder():
     from opcalc.funcspace import Interval, from_expr
-    from opcalc.operators import apply
+    from opcalc.operators import iterated_integral
 
     t = expand(parse("exp(x)"), 0.0, 2)
     integrand = from_expr(t.residual_integrand(), Interval(-0.5, 1.5))
-    residual = apply(t.residual_operator(), integrand)
+    residual = iterated_integral(integrand, t.order + 1, t.base)
     assert residual(1.0) == pytest.approx(remainder_direct(t, 1.0), abs=1e-6)
 
 
