@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -159,7 +160,9 @@ def _add_point_flags(sp):
                     default=None, help="evenly spaced evaluation points")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="opcalc",
         description="Taylor expansion by operator fixed-point iteration, "
@@ -267,7 +270,7 @@ def cmd_remainder(args) -> int:
     f = parse(args.f)
     quad = _quad_config(args)
     t = expand(f, args.a, args.n)
-    rows = [remainder_routes(t, x, quad) for x in points]
+    rows = remainder_routes(t, points, quad)
     config = {"f": args.f, "a": args.a, "n": args.n, "points": points,
               "tol": args.tol, "format": args.format}
     _emit(args, "remainder", config, rows, [])

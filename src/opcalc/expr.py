@@ -247,7 +247,7 @@ class _Parser:
     def expect(self, kind: str, expected: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(tok.offset, f"unexpected token {tok.text!r}", expected)
+            raise ParseError(tok.offset, f"unexpected token {_cut(tok.text)!r}", expected)
         return self.advance()
 
     def parse_expr(self) -> Expr:
@@ -316,7 +316,7 @@ class _Parser:
             builder = _FUNC_BUILDERS.get(tok.text)
             if builder is None:
                 raise ParseError(
-                    tok.offset, f"unknown identifier {tok.text!r}",
+                    tok.offset, f"unknown identifier {_cut(tok.text)!r}",
                     "'x' or one of sin, cos, exp, ln",
                 )
             self.expect("(", f"'(' after {tok.text}")
@@ -328,7 +328,7 @@ class _Parser:
             inner = self.parse_expr()
             self.expect(")", "')'")
             return inner
-        raise ParseError(tok.offset, f"unexpected token {tok.text!r}",
+        raise ParseError(tok.offset, f"unexpected token {_cut(tok.text)!r}",
                          "number, 'x', function, or '('")
 
 
@@ -341,7 +341,7 @@ def parse(text: str) -> Expr:
     node = parser.parse_expr()
     tail = parser.peek()
     if tail.kind != "end":
-        raise ParseError(tail.offset, f"unexpected token {tail.text!r}",
+        raise ParseError(tail.offset, f"unexpected token {_cut(tail.text)!r}",
                          "end of input or an operator")
     return node
 
@@ -408,13 +408,19 @@ def render(e: Expr) -> str:
     return "".join(_pieces(e, _PREC_ADD))
 
 
+def _cut(text: str) -> str:
+    """text, cut to _BRIEF_LIMIT characters ending in "..." if longer; error
+    messages quote tokens and expressions cut this way."""
+    return text if len(text) <= _BRIEF_LIMIT else text[:_BRIEF_LIMIT - 3] + "..."
+
+
 def brief(e: Expr) -> str:
-    """render(e), cut to _BRIEF_LIMIT characters ending in "..."; O(_BRIEF_LIMIT)."""
+    """_cut(render(e)), in O(_BRIEF_LIMIT)."""
     text = ""
     for piece in _pieces(e, _PREC_ADD):
         text += piece
         if len(text) > _BRIEF_LIMIT:
-            return text[:_BRIEF_LIMIT - 3] + "..."
+            return _cut(text)
     return text
 
 

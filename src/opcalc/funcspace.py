@@ -54,9 +54,9 @@ class Interval:
         return self.a - slack <= x <= self.b + slack
 
 
-def span_interval(a: float, x: float) -> Interval:
-    """The interval between a and x, padded so both stay inside it."""
-    lo, hi = min(a, x), max(a, x)
+def span_interval(a: float, x) -> Interval:
+    """The interval between a and x (one or more points), padded to hold all."""
+    lo, hi = float(min(a, np.min(x))), float(max(a, np.max(x)))
     pad = 1e-9 * (1.0 + hi - lo)
     return Interval(lo - pad, hi + pad)
 
@@ -349,20 +349,12 @@ def integrate_many(f: RealFunction, a: float, xs,
 
 def integrate(f: RealFunction, a: float, x: float,
               cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG) -> float:
-    """Estimate of the integral of f from a to x, equal to
-    integrate_many(f, a, [x])[0].
+    """Estimate of the integral of f from a to x: integrate_many at one limit.
 
     Antisymmetric by construction: the oriented interval is integrated and
     the sign flipped when x < a.
     """
-    a = float(a)
-    x = float(x)
-    if x == a:
-        return 0.0
-    lo, hi = (x, a) if x < a else (a, x)
-    _check_range(f, lo, hi)
-    total = float(_bisect(f, np.array([lo]), np.array([hi]), cfg)[0])
-    return -total if x < a else total
+    return float(integrate_many(f, a, [x], cfg)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -372,27 +364,59 @@ def integrate(f: RealFunction, a: float, x: float,
 _SUP_SAMPLES = 1025  # dense pass, endpoints included
 _SUP_REFINE_ROUNDS = 9
 _SUP_REFINE_POINTS = 33
+_SUP_CHUNK = 64  # intervals per lock-step batch: bounds the scan's memory
+
+
+def _grids(lo: np.ndarray, hi: np.ndarray, num: int) -> np.ndarray:
+    """Row i is np.linspace(lo[i], hi[i], num), bit for bit."""
+    delta = hi - lo
+    step = delta / (num - 1)
+    k = np.arange(num, dtype=float)
+    # a step that underflows to 0 takes linspace's other path
+    grid = np.where((step == 0)[:, None], k / (num - 1) * delta[:, None], k * step[:, None])
+    grid += lo[:, None]
+    grid[:, -1] = hi
+    return grid
+
+
+def sup_abs_many(f: RealFunction, lo, hi) -> np.ndarray:
+    """Estimates of sup |f| over [lo[i], hi[i]], never below the largest
+    sampled |f|: a dense scan, then up to _SUP_REFINE_ROUNDS finer grids about
+    the last maximum until its bracket is at float resolution.  Intervals run
+    in lock step, _SUP_CHUNK at a time, one eval_array call per round."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if not (np.isfinite(lo) & np.isfinite(hi) & (lo < hi)).all():
+        raise ValueError("sup_abs_many requires finite lo < hi")
+    best = np.empty(len(lo))
+    for i in range(0, len(lo), _SUP_CHUNK):
+        best[i:i + _SUP_CHUNK] = _sup_chunk(f, lo[i:i + _SUP_CHUNK], hi[i:i + _SUP_CHUNK])
+    return best
+
+
+def _sup_chunk(f: RealFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    live = np.arange(len(lo))  # intervals still refining
+    sizes = [_SUP_SAMPLES] + [_SUP_REFINE_POINTS] * _SUP_REFINE_ROUNDS
+    for round_, num in enumerate(sizes):
+        grid = _grids(lo, hi, num)
+        vals = np.abs(f.eval_array(grid.ravel())).reshape(grid.shape)
+        rows = np.arange(len(live))
+        k = vals.argmax(axis=1)  # the first maximum, as in one-row argmax
+        top = vals[rows, k]
+        lo = grid[rows, np.maximum(k - 1, 0)]
+        hi = grid[rows, np.minimum(k + 1, num - 1)]
+        if not round_:
+            best = top
+            continue
+        # best = max(best, top): keep best unless top > best, as Python's max does
+        best[live] = np.where(top > best[live], top, best[live])
+        more = ~(hi - lo <= 1e-14 * (1.0 + np.abs(hi)))  # not yet at float resolution
+        live, lo, hi = live[more], lo[more], hi[more]
+        if not live.size:
+            break
+    return best
 
 
 def sup_abs(f: RealFunction, iv: Interval,
             cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG) -> float:
-    """Estimate of sup over iv of |f|: dense scan plus local refinement.
-
-    The result is never below the largest sampled |f|.
-    """
-    xs = np.linspace(iv.a, iv.b, _SUP_SAMPLES)
-    vals = np.abs(f.eval_array(xs))
-    k = int(np.argmax(vals))
-    best = float(vals[k])
-    lo = xs[max(k - 1, 0)]
-    hi = xs[min(k + 1, _SUP_SAMPLES - 1)]
-    for _ in range(_SUP_REFINE_ROUNDS):
-        grid = np.linspace(lo, hi, _SUP_REFINE_POINTS)
-        gvals = np.abs(f.eval_array(grid))
-        j = int(np.argmax(gvals))
-        best = max(best, float(gvals[j]))
-        lo = grid[max(j - 1, 0)]
-        hi = grid[min(j + 1, _SUP_REFINE_POINTS - 1)]
-        if hi - lo <= 1e-14 * (1.0 + abs(hi)):
-            break
-    return best
+    """Estimate of sup over iv of |f|: sup_abs_many on the one interval."""
+    return float(sup_abs_many(f, [iv.a], [iv.b])[0])

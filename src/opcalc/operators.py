@@ -18,11 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .expr import const, differentiate, mul, simplify
 from .funcspace import (
-    DEFAULT_QUAD_CONFIG, Interval, IntegralSource, QuadratureConfig,
+    DEFAULT_QUAD_CONFIG, IntegralSource, QuadratureConfig,
     RealFunction, constant_one, from_callable, from_expr, from_integral,
-    linear_combination, span_interval, sup_abs,
+    linear_combination, span_interval, sup_abs_many,
 )
 from .report import CheckReport, from_gap
 
@@ -211,27 +213,25 @@ def iterated_integral_one(n: int, a: float, x: float,
     literally nesting quadrature (no closed form)."""
     if not 1 <= n <= 6:
         raise ValueError("iterated_integral_one supports 1 <= n <= 6")
-    a = float(a)
-    x = float(x)
-    if x == a:
-        return 0.0
     return iterated_integral(constant_one(span_interval(a, x)), n, a, cfg)(x)
 
 
-def monotone_bound(n: int, g: RealFunction, a: float, x: float,
-                   cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG) -> float:
-    """Right-hand side of the iterated monotonicity bound:
-    sup over [a,x] of |g| times (x-a)^n / n!."""
+def monotone_bound(n: int, g: RealFunction, a, x,
+                   cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG):
+    """Right-hand side of the iterated monotonicity bound: sup over [a,x] of
+    |g| times (x-a)^n / n!.  Given arrays of ends a and x (broadcast), it
+    returns an array of bounds, taking every sup in one sup_abs_many call."""
     if n < 1:
         raise ValueError("monotone_bound requires n >= 1")
-    a = float(a)
-    x = float(x)
-    if x < a:
+    lo, hi = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(x, dtype=float))
+    if (hi < lo).any():
         raise ValueError("monotone_bound is stated on [a, x]; requires x >= a")
-    if x == a:
-        return 0.0
-    s = sup_abs(g, Interval(a, x), cfg)
-    return s * (x - a) ** n / math.factorial(n)
+    live = hi != lo
+    bound = np.zeros(lo.shape)
+    # (x-a)^n in Python floats: numpy's power may differ in the last bit
+    bound[live] = [s * (q - p) ** n / math.factorial(n) for s, p, q in zip(
+        sup_abs_many(g, lo[live], hi[live]).tolist(), lo[live].tolist(), hi[live].tolist())]
+    return bound if bound.ndim else float(bound)
 
 
 def check_linearity(op: OperatorNode, f: RealFunction, g: RealFunction,

@@ -15,14 +15,18 @@ Remainder routes:
   nested_integral N+1 literally nested quadratures (pre-exchange order)
   sliced          f^(N+1) against simplex slice volumes (simplex.py)
   bound           sup|f^(N+1)| * |x-a|^(N+1)/(N+1)!
-remainder_routes evaluates them all at one point, with their largest
-pairwise gap; that agreement is what the test suites certify.
+remainder_routes evaluates them all at many points, with each point's
+largest pairwise gap; that agreement is what the test suites certify.  The
+nested and bound routes take arrays of points: one integrate_many call per
+nesting level, and one lock-step funcspace.sup_abs_many for all the sups.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .expr import (
     Expr, const, differentiate, evaluate, mul, power, render, simplify, sub,
@@ -37,6 +41,7 @@ from .report import CheckReport, from_gap
 from .simplex import remainder_by_slicing
 
 NESTED_MAX_DEPTH = 4  # nested quadrature cost grows as nodes**(N+1)
+_ROUTE_CHUNK = 64  # points per remainder_routes batch: bounds its memory
 
 
 @dataclass(frozen=True)
@@ -132,28 +137,27 @@ def remainder_exact(t: TaylorExpansion, x: float,
     return integrate(f, a, x, cfg)
 
 
-def remainder_nested(t: TaylorExpansion, x: float,
-                     cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG) -> float:
+def remainder_nested(t: TaylorExpansion, x,
+                     cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG):
     """The residual I_a^{N+1} f^(N+1) as N+1 literally nested quadratures
-    (operators.iterated_integral), before any order exchange."""
+    (operators.iterated_integral), before any order exchange.  x may be an
+    array of points; each level is then one integrate_many call."""
     n = t.order
     if n + 1 > NESTED_MAX_DEPTH:
         raise ValueError(f"nested remainder supports order+1 <= {NESTED_MAX_DEPTH}")
-    x = float(x)
-    a = t.base
-    if x == a:
-        return 0.0
-    g = from_expr(t.residual_integrand(), span_interval(a, x))
-    return iterated_integral(g, n + 1, a, cfg)(x)
+    g = from_expr(t.residual_integrand(), span_interval(t.base, x))
+    values = iterated_integral(g, n + 1, t.base, cfg).eval_array(np.atleast_1d(x))
+    return values if np.ndim(x) else float(values[0])
 
 
-def remainder_bound(t: TaylorExpansion, x: float,
-                    cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG) -> float:
+def remainder_bound(t: TaylorExpansion, x,
+                    cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG):
     """sup |f^(N+1)| times |x-a|^(N+1)/(N+1)!: operators.monotone_bound on
-    [min(a,x), max(a,x)], so x < a is the oriented extension of the bound."""
+    [min(a,x), max(a,x)], so x < a is the oriented extension of the bound.
+    x may be an array of points."""
     a = t.base
     deriv = from_expr(t.residual_integrand(), span_interval(a, x))
-    return monotone_bound(t.order + 1, deriv, min(a, x), max(a, x), cfg)
+    return monotone_bound(t.order + 1, deriv, np.minimum(a, x), np.maximum(a, x), cfg)
 
 
 def verify_exchange(g: tuple[Expr, Expr], a: float, upper: float,
@@ -186,19 +190,24 @@ def verify_exchange(g: tuple[Expr, Expr], a: float, upper: float,
     )
 
 
-def remainder_routes(t: TaylorExpansion, x: float,
-                     cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG) -> dict:
-    """The remainder of t at x along every route, keyed as the CLI's
-    remainder row.  max_gap is the largest pairwise gap between the route
-    values (the bound is not one); the nested route is None when order+1
-    exceeds NESTED_MAX_DEPTH."""
-    x = float(x)
-    direct = remainder_direct(t, x)
-    exact = remainder_exact(t, x, cfg)
-    nested = remainder_nested(t, x, cfg) if t.order + 1 <= NESTED_MAX_DEPTH else None
-    sliced = remainder_by_slicing(t, x, cfg)
-    bound = remainder_bound(t, x, cfg)
-    values = [direct, exact, sliced] + ([nested] if nested is not None else [])
-    return {"x": x, "direct": direct, "exact_integral": exact,
-            "nested_integral": nested, "sliced": sliced, "bound": bound,
-            "max_gap": max(abs(p - q) for p in values for q in values)}
+def remainder_routes(t: TaylorExpansion, points,
+                     cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG) -> list[dict]:
+    """One CLI remainder row per point: the remainder of t along every route
+    and max_gap, the largest pairwise gap between the route values (the bound
+    is not one); nested is None when order+1 exceeds NESTED_MAX_DEPTH.
+    Points go _ROUTE_CHUNK at a time, route by route."""
+    rows = []
+    for i in range(0, len(points), _ROUTE_CHUNK):
+        xs = [float(x) for x in points[i:i + _ROUTE_CHUNK]]
+        direct = [remainder_direct(t, x) for x in xs]
+        exact = [remainder_exact(t, x, cfg) for x in xs]
+        nested = (remainder_nested(t, xs, cfg).tolist()
+                  if t.order + 1 <= NESTED_MAX_DEPTH else [None] * len(xs))
+        sliced = [remainder_by_slicing(t, x, cfg) for x in xs]
+        bound = remainder_bound(t, xs, cfg).tolist()
+        for x, d, e, n, s, b in zip(xs, direct, exact, nested, sliced, bound):
+            values = [d, e, s] + ([n] if n is not None else [])
+            rows.append({"x": x, "direct": d, "exact_integral": e,
+                         "nested_integral": n, "sliced": s, "bound": b,
+                         "max_gap": max(abs(p - q) for p in values for q in values)})
+    return rows

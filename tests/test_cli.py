@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from opcalc.cli import main
+from opcalc.cli import build_parser, main
 
 PKG_ENV = {"PYTHONPATH": "src"}
 
@@ -192,6 +192,30 @@ def test_remainder_domain_violation_exit_three(capsys):
     assert "numeric failure" in err
 
 
+@pytest.mark.parametrize("text", ["x " + "1" * 5000, "y" * 5000])
+def test_parse_error_quotes_a_bounded_token(capsys, text):
+    code, out, err = run_main(capsys, "expand", "--f", text, "--n", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: parse error at offset ")
+    assert len(err.encode()) <= 1024
+    assert "...'" in err
+
+
+@pytest.mark.parametrize("f, n, points", [
+    ("ln(1+x)", "1", "0.5,-1.5"),
+    # routes run over all points in turn, so the second point's domain
+    # violation (direct route) comes before the first point's quadrature failure
+    ("ln(1+x)", "3", "-0.999999,-1.5"),
+])
+def test_remainder_failure_over_several_points_is_one_line(capsys, f, n, points):
+    code, out, err = run_main(capsys, "remainder", "--f", f, "--n", n,
+                              "--points=" + points)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # simplex
 # ---------------------------------------------------------------------------
@@ -324,6 +348,19 @@ def test_verify_finite_difference_skips_points_near_a_singularity(capsys):
 def test_verify_unknown_suite_rejected(capsys):
     code, _, _ = run_main(capsys, "verify", "--suite", "nonsense")
     assert code == 2
+
+
+def test_parser_reuse_keeps_no_state_between_calls(capsys):
+    argv = ("verify", "--suite", "fixedpoint", "--samples", "1000")
+    first = run_main(capsys, *argv)
+    second = run_main(capsys, *argv)
+    assert first == second
+    assert parse_json(second[1])["config"]["suites"] == ["fixedpoint"]
+    assert build_parser() is build_parser()
+    valid = ("expand", "--f", "exp(x)", "--n", "2", "--points", "0.5")
+    alone = run_main(capsys, *valid)
+    assert run_main(capsys, "expand", "--f", "exp(x)")[0] == 2  # --n missing
+    assert run_main(capsys, *valid) == alone
 
 
 # ---------------------------------------------------------------------------

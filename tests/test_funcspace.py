@@ -10,11 +10,15 @@ from opcalc.expr import parse
 from opcalc.funcspace import (
     DEFAULT_QUAD_CONFIG, Interval, QuadratureConfig, ToleranceNotMetError,
     constant_one, from_callable, from_expr, from_integral, integrate,
-    integrate_many, linear_combination, sup_abs,
+    integrate_many, linear_combination, sup_abs, sup_abs_many,
 )
 
 IV = Interval(-4.0, 4.0)
 TOL = DEFAULT_QUAD_CONFIG.abs_tolerance
+
+
+NEST_POOL = ["exp(x)", "sin(3*x)", "x^5-x", "(x+2)^0.5", "cos(x)/(2+x)",
+             "exp(-x^2)", "ln(2+x)"]
 
 
 def f_of(text, iv=IV):
@@ -175,6 +179,115 @@ def test_sup_abs_dominates_samples():
         assert abs(f(float(x))) <= s + 1e-12
 
 
+def ref_sup_abs(f, iv):
+    """The one-interval loop sup_abs_many runs in lock step."""
+    xs = np.linspace(iv.a, iv.b, fs._SUP_SAMPLES)
+    vals = np.abs(f.eval_array(xs))
+    k = int(np.argmax(vals))
+    best = float(vals[k])
+    lo = xs[max(k - 1, 0)]
+    hi = xs[min(k + 1, fs._SUP_SAMPLES - 1)]
+    for _ in range(fs._SUP_REFINE_ROUNDS):
+        grid = np.linspace(lo, hi, fs._SUP_REFINE_POINTS)
+        gvals = np.abs(f.eval_array(grid))
+        j = int(np.argmax(gvals))
+        best = max(best, float(gvals[j]))
+        lo = grid[max(j - 1, 0)]
+        hi = grid[min(j + 1, fs._SUP_REFINE_POINTS - 1)]
+        if hi - lo <= 1e-14 * (1.0 + abs(hi)):
+            break
+    return best
+
+
+SUP_POOL = [f_of(text) for text in NEST_POOL] + [
+    fs.absolute(f_of("sin(5*x)")),
+    from_callable(lambda t: np.floor(3.0 * t), IV, "steps"),  # ties: first maximum
+    from_callable(lambda t: np.where(t > 0.5, math.nan, t), IV, "nan above 0.5"),
+]
+# interval widths: wide ones refine all rounds, narrow ones stop early, and
+# subnormal ones take linspace's path for a step that underflows
+widths = st.one_of(st.floats(min_value=1e-3, max_value=0.5),
+                   st.sampled_from([1e-10, 1e-13, 3e-16, 1e-300, 5e-324]))
+
+
+@given(
+    i=st.integers(min_value=0, max_value=len(SUP_POOL) - 1),
+    spans=st.lists(st.tuples(st.floats(min_value=-1.0, max_value=1.0), widths),
+                   min_size=1, max_size=6),
+    chunk=st.sampled_from([1, 2, 64]),
+)
+@settings(max_examples=60, deadline=None)
+def test_sup_abs_many_matches_one_interval_reference(i, spans, chunk):
+    f = SUP_POOL[i]
+    ivs = []
+    for lo, width in spans:
+        lo = 0.0 if width < 1e-200 else lo
+        hi = lo + width
+        ivs.append(Interval(lo, hi if hi > lo else math.nextafter(lo, 1.0)))
+    want = [ref_sup_abs(f, iv).hex() for iv in ivs]
+    saved, fs._SUP_CHUNK = fs._SUP_CHUNK, chunk
+    try:
+        got = sup_abs_many(f, [iv.a for iv in ivs], [iv.b for iv in ivs])
+    finally:
+        fs._SUP_CHUNK = saved
+    assert [v.hex() for v in got.tolist()] == want
+    assert [sup_abs(f, iv).hex() for iv in ivs] == want
+
+
+def test_grids_are_linspace_rows_bit_for_bit():
+    lo = np.array([-3.0, 0.1, 0.0, 0.0, 1.0, 1.0, -2.5])
+    hi = np.array([4.0, 0.45, 5e-324, 1e-321, 1.0, 1.0 + 2.0 ** -52, -1e-300])
+    for num in (fs._SUP_SAMPLES, fs._SUP_REFINE_POINTS):
+        got = fs._grids(lo, hi, num)
+        for i in range(len(lo)):
+            want = np.linspace(lo[i], hi[i], num)
+            assert [v.hex() for v in got[i].tolist()] == [v.hex() for v in want.tolist()]
+
+
+def test_sup_abs_many_takes_the_first_maximum():
+    # |f| = 1 at every sample; a first-maximum scan refines about 0 and never
+    # sees the bump between the last two dense samples, which a last-maximum
+    # scan would find
+    bump = (1.0 - 2.0 ** -10 + 1e-6, 1.0 - 1e-6)
+    f = from_callable(lambda t: np.where((t > bump[0]) & (t < bump[1]), 2.0, 1.0),
+                      Interval(0.0, 1.0), "bump")
+    assert sup_abs_many(f, [0.0], [1.0]).tolist() == [ref_sup_abs(f, Interval(0.0, 1.0))]
+    assert sup_abs(f, Interval(0.0, 1.0)) == 1.0
+
+
+def test_sup_abs_many_keeps_a_nan_as_python_max_does():
+    # a NaN at one dense sample, which no refined grid hits again: max(nan, v)
+    # stays nan, where np.fmax would take v
+    p = float(np.linspace(0.1, 0.45, fs._SUP_SAMPLES)[400])
+    f = from_callable(lambda t: np.where(t == p, math.nan, 1.0 - (t - p) ** 2),
+                      Interval(0.1, 0.45), "nan at one sample")
+    assert math.isnan(ref_sup_abs(f, Interval(0.1, 0.45)))
+    assert math.isnan(sup_abs_many(f, [0.1, 0.1], [0.45, 0.2])[0])
+
+
+def test_sup_abs_many_evaluates_once_per_round():
+    calls = []
+
+    def fn(t):
+        calls.append(len(t))
+        return np.sin(3.0 * t)
+
+    f = from_callable(fn, IV, "counted")
+    lo = np.linspace(-3.0, 2.0, 40)
+    got = sup_abs_many(f, lo, lo + 1.0)
+    assert len(calls) <= 1 + fs._SUP_REFINE_ROUNDS
+    assert calls[0] == 40 * fs._SUP_SAMPLES
+    assert got.tolist() == [ref_sup_abs(f, Interval(a, a + 1.0)) for a in lo]
+
+
+def test_sup_abs_many_edges():
+    f = f_of("exp(x)")
+    assert sup_abs_many(f, [], []).shape == (0,)
+    for lo, hi in (([0.0], [0.0]), ([1.0], [0.0]), ([0.0], [math.inf]), ([math.nan], [1.0])):
+        with pytest.raises(ValueError, match="finite lo < hi"):
+            sup_abs_many(f, lo, hi)
+
+
 # ---------------------------------------------------------------------------
 # Spec invariants: linearity, monotonicity, additivity
 # ---------------------------------------------------------------------------
@@ -320,8 +433,6 @@ def counted_panels():
 
 
 NEST_IV = Interval(-1.0, 1.5)
-NEST_POOL = ["exp(x)", "sin(3*x)", "x^5-x", "(x+2)^0.5", "cos(x)/(2+x)",
-             "exp(-x^2)", "ln(2+x)"]
 limits = st.floats(min_value=-1.0, max_value=1.5)
 
 

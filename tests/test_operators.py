@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from opcalc.expr import parse
 from opcalc.funcspace import (
-    DEFAULT_QUAD_CONFIG, Interval, constant_one, from_expr,
+    DEFAULT_QUAD_CONFIG, Interval, constant_one, from_expr, sup_abs,
 )
 from opcalc.operators import (
     Compose, Differentiate, EvaluateAt, Identity, IntegrateFrom, Power, Scale,
@@ -239,6 +239,30 @@ def test_monotone_bound_sin():
 def test_monotone_bound_rejects_reversed_interval():
     with pytest.raises(ValueError):
         monotone_bound(1, f_of("exp(x)"), 1.0, 0.0)
+    with pytest.raises(ValueError):
+        monotone_bound(1, f_of("exp(x)"), 0.0, [0.5, -0.5])
+
+
+def test_monotone_bound_array_form_matches_one_point_calls():
+    g = f_of("sin(3*x)*exp(x)")
+    a = [0.0, -1.0, 0.25, 0.25, -2.0]
+    x = [1.0, 0.5, 0.25, 2.0, -1.5]  # x == a included
+    got = monotone_bound(3, g, a, x)
+    assert [v.hex() for v in got.tolist()] == [
+        monotone_bound(3, g, p, q).hex() for p, q in zip(a, x)]
+    assert got[2] == 0.0
+    assert monotone_bound(2, g, 0.5, [0.5, 1.5]).tolist() == [
+        0.0, monotone_bound(2, g, 0.5, 1.5)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_monotone_bound_powers_in_python_floats(n):
+    # numpy's power differs from Python's in the last bit at some points
+    g = f_of("exp(x)")
+    xs = [-0.7 + 0.037 * k for k in range(60)]
+    want = [sup_abs(g, Interval(-0.75, x)) * (x + 0.75) ** n / math.factorial(n)
+            for x in xs]
+    assert monotone_bound(n, g, -0.75, xs).tolist() == want
 
 
 @pytest.mark.parametrize("text", POOL)

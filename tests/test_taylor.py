@@ -3,11 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath
 import pytest
 
+from opcalc import taylor
 from opcalc.cli import _CSV_COLUMNS
 from opcalc.expr import const, evaluate, parse, render, var
 from opcalc.funcspace import DEFAULT_QUAD_CONFIG
@@ -231,7 +233,7 @@ def test_exchange_empty_region():
 # ---------------------------------------------------------------------------
 
 def test_report_exp():
-    report = remainder_routes(expand(parse("exp(x)"), 0.0, 2), 1.0)
+    report = remainder_routes(expand(parse("exp(x)"), 0.0, 2), [1.0])[0]
     assert report["max_gap"] <= 1e-6
     assert report["bound"] == pytest.approx(0.45304697, abs=1e-7)
     assert abs(report["direct"]) == pytest.approx(0.21828183, abs=1e-7)
@@ -239,7 +241,7 @@ def test_report_exp():
 
 
 def test_report_exact_polynomial_case():
-    report = remainder_routes(expand(parse("x^3"), 0.0, 3), 2.0)
+    report = remainder_routes(expand(parse("x^3"), 0.0, 3), [2.0])[0]
     assert abs(report["direct"]) <= 10 * TOL
     assert abs(report["exact_integral"]) <= 10 * TOL
     assert abs(report["nested_integral"]) <= 1e-6
@@ -248,7 +250,7 @@ def test_report_exact_polynomial_case():
 
 def test_report_sin_order_four():
     # oracle: direct evaluation sin(1) - P_4(1), with P_4 = x - x^3/6
-    report = remainder_routes(expand(parse("sin(x)"), 0.0, 4), 1.0)
+    report = remainder_routes(expand(parse("sin(x)"), 0.0, 4), [1.0])[0]
     expected = math.sin(1.0) - (1.0 - 1.0 / 6.0)
     assert report["direct"] == pytest.approx(expected, abs=1e-12)
     assert report["nested_integral"] is None  # order+1 = 5 exceeds the depth guard
@@ -258,9 +260,45 @@ def test_report_sin_order_four():
 
 def test_routes_are_the_cli_remainder_row():
     t = expand(parse("ln(1+x)"), 0.0, 2)
-    report = remainder_routes(t, -0.4)
+    report = remainder_routes(t, [-0.4])[0]
     assert list(report) == _CSV_COLUMNS["remainder"]
     assert report["sliced"] == remainder_by_slicing(t, -0.4)
+
+
+def _bits(row):
+    return {k: v.hex() if isinstance(v, float) else v for k, v in row.items()}
+
+
+@pytest.mark.parametrize("text, order", [
+    ("exp(x)", 0), ("ln(1+x)", 2), ("sin(x)", 3), ("cos(x)/(2+x)", 4), ("x^5", 5),
+])
+def test_remainder_routes_rows_match_one_point_calls(monkeypatch, text, order):
+    t = expand(parse(text), 0.0, order)
+    points = [0.0, 0.5, -0.4, 0.5, -0.0, 0.75, -0.4, 0.1]  # x == a, both sides, repeats
+    want = [_bits(remainder_routes(t, [x])[0]) for x in points]
+    assert [_bits(row) for row in remainder_routes(t, points)] == want
+    monkeypatch.setattr(taylor, "_ROUTE_CHUNK", 3)  # batches end mid-list
+    rows = remainder_routes(t, points)
+    assert [_bits(row) for row in rows] == want
+    for x, row in zip(points, rows):  # the one-point forms of the array routes
+        assert row["bound"].hex() == remainder_bound(t, x).hex()
+        if order + 1 <= NESTED_MAX_DEPTH:
+            assert row["nested_integral"].hex() == remainder_nested(t, x).hex()
+
+
+def test_remainder_routes_memory_is_bounded_by_its_batches():
+    t = expand(parse("exp(x)"), 0.0, 0)
+    remainder_routes(t, [0.3])  # compile the evaluation tapes first
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            remainder_routes(t, [-0.5 + k / count for k in range(count)])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(1024) <= 2 * peak(64)
 
 
 # ---------------------------------------------------------------------------
