@@ -37,20 +37,6 @@ EXIT_NUMERIC = 3
 
 MAX_RANGE_COUNT = 1_000_000     # --range builds its points before any work
 
-_CSV_COLUMNS = {
-    "expand": ["row_type", "n", "derivative_at_base", "taylor_coefficient",
-               "x", "polynomial_value"],
-    "remainder": ["x", "direct", "exact_integral", "nested_integral",
-                  "sliced", "bound", "max_gap"],
-    "simplex": ["n", "a", "x", "samples", "seed", "exact_volume", "estimate",
-                "std_error", "z_score", "classified", "discarded_duplicates",
-                "chi_square", "chi_square_threshold", "max_cell_z",
-                "partition_pass"],
-    "fixedpoint": ["k", "iterate", "residual"],
-    "verify": ["name", "pass", "measured_gap", "threshold"],
-}
-
-
 # ---------------------------------------------------------------------------
 # Serialization (deterministic, 17 significant digits)
 # ---------------------------------------------------------------------------
@@ -114,7 +100,7 @@ def _emit(args, command: str, config: dict, rows: list[dict],
                             "rows": rows, "invariants": invariants})
     else:
         records = invariants if command == "verify" else rows
-        text = render_csv(_CSV_COLUMNS[command], records)
+        text = render_csv(list(records[0]), records)
     if args.out:
         try:
             with open(args.out, "w", newline="") as handle:
@@ -144,13 +130,16 @@ def _points_list(text: str) -> list[float]:
     return [_finite_float(part) for part in text.split(",") if part.strip() != ""]
 
 
-def _add_output_flags(sp, default_tol=DEFAULT_QUAD_CONFIG.abs_tolerance):
+def _add_output_flags(sp, tol=DEFAULT_QUAD_CONFIG.abs_tolerance, rel_tol=True):
+    """--format and --out, then --tol unless tol is None, and --rel-tol if rel_tol."""
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
-    sp.add_argument("--tol", type=_finite_float, default=default_tol,
-                    help="absolute quadrature tolerance")
-    sp.add_argument("--rel-tol", type=_finite_float, default=0.0,
-                    help="relative quadrature tolerance")
+    if tol is not None:
+        sp.add_argument("--tol", type=_finite_float, default=tol,
+                        help="absolute quadrature tolerance")
+    if rel_tol:
+        sp.add_argument("--rel-tol", type=_finite_float, default=0.0,
+                        help="relative quadrature tolerance")
 
 
 def _add_point_flags(sp):
@@ -175,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=_finite_float, default=0.0, help="expansion base")
     sp.add_argument("--n", type=int, required=True, help="expansion order")
     _add_point_flags(sp)
-    _add_output_flags(sp)
+    _add_output_flags(sp, rel_tol=False)
 
     sp = sub.add_parser("remainder", help="remainder along every route")
     sp.add_argument("--f", required=True)
@@ -190,13 +179,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", type=_finite_float, default=1.0)
     sp.add_argument("--samples", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=2024)
-    _add_output_flags(sp)
+    _add_output_flags(sp, tol=None, rel_tol=False)
 
     sp = sub.add_parser("fixedpoint", help="Newton iteration trace")
     sp.add_argument("--f", required=True)
     sp.add_argument("--x0", type=_finite_float, required=True)
     sp.add_argument("--max-iter", type=int, default=50)
-    _add_output_flags(sp, default_tol=1e-10)
+    _add_output_flags(sp, tol=1e-10, rel_tol=False)
 
     sp = sub.add_parser("verify", help="run the invariant suites")
     sp.add_argument("--suite", action="append", choices=SUITE_NAMES,

@@ -416,7 +416,6 @@ def _sup_chunk(f: RealFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return best
 
 
-def sup_abs(f: RealFunction, iv: Interval,
-            cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG) -> float:
+def sup_abs(f: RealFunction, iv: Interval) -> float:
     """Estimate of sup over iv of |f|: sup_abs_many on the one interval."""
     return float(sup_abs_many(f, [iv.a], [iv.b])[0])

@@ -8,9 +8,9 @@ a RealFunction into a new RealFunction.
 Differentiation is symbolic-only: it requires the operand to be
 expression-backed, except that differentiating an integral-backed function
 recovers its integrand exactly (the derivative half of the fundamental
-theorem).  The same cancellation is applied textually to composition
-chains before application, so D composed with I_a collapses to identity;
-no other operator-algebra rewriting is attempted.
+theorem).  Compositions and powers apply their operators one at a time,
+innermost first, so D composed with I_a returns the operand itself through
+that provenance; no operator-algebra rewriting is attempted.
 """
 
 from __future__ import annotations
@@ -117,30 +117,6 @@ def describe(op: OperatorNode) -> str:
 # Application
 # ---------------------------------------------------------------------------
 
-def _flatten(op: OperatorNode) -> list[OperatorNode]:
-    """Composition chain in application order (outermost first)."""
-    if isinstance(op, Compose):
-        return _flatten(op.outer) + _flatten(op.inner)
-    if isinstance(op, Power):
-        return _flatten(op.inner) * op.n
-    return [op]
-
-
-def _cancel_ftoc_pairs(seq: list[OperatorNode]) -> list[OperatorNode]:
-    """Drop adjacent (D, I_a) pairs: differentiating an integral from any
-    base recovers the integrand."""
-    out = list(seq)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(out) - 1):
-            if isinstance(out[i], Differentiate) and isinstance(out[i + 1], IntegrateFrom):
-                del out[i:i + 2]
-                changed = True
-                break
-    return out
-
-
 def _apply_differentiate(f: RealFunction) -> RealFunction:
     if f.is_expr_backed():
         d = simplify(differentiate(f.as_expr()))
@@ -177,12 +153,12 @@ def apply(op: OperatorNode, f: RealFunction,
         left = apply(op.left, f, cfg)
         right = apply(op.right, f, cfg)
         return linear_combination(1.0, left, 1.0, right)
-    if isinstance(op, (Compose, Power)):
-        chain = _cancel_ftoc_pairs(_flatten(op))
-        result = f
-        for node in reversed(chain):
-            result = apply(node, result, cfg)
-        return result
+    if isinstance(op, Compose):
+        return apply(op.outer, apply(op.inner, f, cfg), cfg)
+    if isinstance(op, Power):
+        for _ in range(op.n):
+            f = apply(op.inner, f, cfg)
+        return f
     raise TypeError(f"not an operator node: {op!r}")
 
 

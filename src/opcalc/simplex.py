@@ -156,10 +156,10 @@ def partition_counts(u: np.ndarray) -> tuple[np.ndarray, int, bool]:
     return counts, int(dup.sum()), exactly_once
 
 
-def chi_square_threshold(cells: int, confidence: float = CHI_SQUARE_CONFIDENCE) -> float:
-    """chi2.ppf(confidence, cells-1), without the ~1 s import of scipy.stats."""
+def chi_square_threshold(cells: int) -> float:
+    """chi2.ppf(CHI_SQUARE_CONFIDENCE, cells-1), without scipy.stats' ~1 s import."""
     from scipy.special import gammaincinv
-    return float(2.0 * gammaincinv((cells - 1) / 2, confidence))
+    return float(2.0 * gammaincinv((cells - 1) / 2, CHI_SQUARE_CONFIDENCE))
 
 
 def ordering_partition_check(n: int, cfg: MonteCarloConfig) -> PartitionReport:
@@ -234,16 +234,14 @@ def remainder_by_slicing(t: TaylorExpansion, x: float,
     deriv = t.derivative_exprs[-1]
 
     if x > a:
-        def kernel(ts: np.ndarray) -> np.ndarray:
-            vols = np.array([sliced_simplex_volume(order, float(s), a, x) for s in ts])
-            return evaluate_array(deriv, ts) * vols
+        sign, volume = 1.0, lambda s: sliced_simplex_volume(order, s, a, x)
     else:
         # mirrored slice: (x-s)^N = (-1)^N * Vol{x <= t_N <= ... <= t_1 <= s}
-        sign = (-1.0) ** order
+        sign, volume = (-1.0) ** order, lambda s: sliced_simplex_volume(order, x, x, s)
 
-        def kernel(ts: np.ndarray) -> np.ndarray:
-            vols = np.array([sliced_simplex_volume(order, x, x, float(s)) for s in ts])
-            return sign * evaluate_array(deriv, ts) * vols
+    def kernel(ts: np.ndarray) -> np.ndarray:
+        vols = np.array([volume(float(s)) for s in ts])
+        return sign * evaluate_array(deriv, ts) * vols
 
     integrand = from_callable(kernel, span_interval(a, x),
                               f"sliced remainder integrand N={order}")

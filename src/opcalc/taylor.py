@@ -2,12 +2,13 @@
 remainder evaluated along four independent routes plus a bound.
 
 The expansion never touches a closed-form coefficient rule: starting from
-f = f(a)*1 + I_a D f, each step substitutes the same identity into the
-residual term, which promotes one derivative value into the coefficient
-list and leaves the residual as the (N+1)-fold integral of the (N+1)-th
-derivative.  Coefficients store derivative values f^(n)(a); the 1/n! is
-applied when the polynomial is evaluated, matching the operator-series
-form where the n-th coefficient multiplies the n-fold integral of 1.
+the order -1 expansion, in which all of f is residual, each step substitutes
+f = f(a)*1 + I_a D f into the residual term, which promotes one derivative
+value into the coefficient list and leaves the residual as the (N+1)-fold
+integral of the (N+1)-th derivative.  Coefficients store derivative values
+f^(n)(a); the 1/n! is applied when the polynomial is evaluated, matching the
+operator-series form where the n-th coefficient multiplies the n-fold
+integral of 1.
 
 Remainder routes:
   direct          f(x) - P_N(x)
@@ -70,18 +71,6 @@ class TaylorExpansion:
         return self.derivative_exprs[-1]
 
 
-def _initial_expansion(f: Expr, a: float) -> TaylorExpansion:
-    a = float(a)
-    first = simplify(differentiate(f))
-    return TaylorExpansion(
-        base=a,
-        order=0,
-        coefficients=(evaluate(f, a),),
-        source=f,
-        derivative_exprs=(f, first),
-    )
-
-
 def ftoc_step(partial: TaylorExpansion) -> TaylorExpansion:
     """One fixed-point substitution: the residual I_a^{N+1} D^{N+1} f becomes
     D^{N+1} f(a) * I_a^{N+1} 1 plus the next residual, promoting one new
@@ -98,13 +87,14 @@ def ftoc_step(partial: TaylorExpansion) -> TaylorExpansion:
 
 
 def expand(f: Expr, a: float, order: int) -> TaylorExpansion:
-    """Apply ftoc_step `order` times starting from the FTOC base case."""
+    """Apply ftoc_step order+1 times to the order -1 expansion, in which all
+    of f is residual; the first step is the FTOC itself, f = f(a)*1 + I_a D f."""
     if order < 0:
         raise ValueError("order must be >= 0")
     if order > 12:
         raise ValueError("order capped at 12 (cost guard)")
-    t = _initial_expansion(f, a)
-    for _ in range(order):
+    t = TaylorExpansion(float(a), -1, (), f, (f,))
+    for _ in range(order + 1):
         t = ftoc_step(t)
     return t
 

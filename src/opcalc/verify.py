@@ -35,7 +35,7 @@ from .report import CheckReport, from_gap
 from .rng import CounterStream
 from .taylor import (
     NESTED_MAX_DEPTH, expand, ftoc_step, remainder_bound, remainder_direct,
-    remainder_exact, remainder_nested, verify_exchange,
+    remainder_exact, remainder_nested, remainder_routes, verify_exchange,
 )
 
 SUITE_NAMES = ("expr", "funcspace", "operators", "taylor", "simplex", "fixedpoint")
@@ -183,7 +183,7 @@ def suite_funcspace(cfg: VerifyConfig) -> list[CheckReport]:
     for pf in pool:
         f = pf.function()
         iv = Interval(pf.probe_lo, pf.probe_hi)
-        s = sup_abs(f, iv, quad)
+        s = sup_abs(f, iv)
         for _ in range(100):
             t = stream.uniform(iv.a, iv.b)
             worst = max(worst, abs(f(t)) - s)
@@ -307,13 +307,11 @@ def suite_taylor(cfg: VerifyConfig) -> list[CheckReport]:
     for text, degree in (("x^2", 2), ("x^3-2*x", 3), ("1+x", 1)):
         e = parse(text)
         for order in range(degree, degree + 2):
-            t = expand(e, 0.0, order)
-            for x in (0.5, 1.0, 1.8):
-                worst = max(worst, abs(remainder_direct(t, x)),
-                            abs(remainder_exact(t, x, quad)),
-                            remainder_bound(t, x, quad))
-                if order + 1 <= NESTED_MAX_DEPTH:
-                    worst = max(worst, abs(remainder_nested(t, x, quad)) * 1e-2)
+            for row in remainder_routes(expand(e, 0.0, order), (0.5, 1.0, 1.8), quad):
+                worst = max(worst, abs(row["direct"]), abs(row["exact_integral"]),
+                            row["bound"], abs(row["sliced"]))
+                if row["nested_integral"] is not None:
+                    worst = max(worst, abs(row["nested_integral"]) * 1e-2)
     reports.append(from_gap("taylor.polynomial_exactness", worst,
                             10.0 * quad.abs_tolerance))
 

@@ -363,6 +363,19 @@ def test_parser_reuse_keeps_no_state_between_calls(capsys):
     assert run_main(capsys, *valid) == alone
 
 
+@pytest.mark.parametrize("argv", [
+    ("expand", "--f", "exp(x)", "--n", "2", "--tol", "1e-9", "--rel-tol", "1e-6"),
+    ("simplex", "--n", "3", "--samples", "1000", "--tol", "1e-9"),
+    ("simplex", "--n", "3", "--samples", "1000", "--rel-tol", "1e-6"),
+    ("fixedpoint", "--f", "x^2-2", "--x0", "1", "--rel-tol", "1e-6"),
+])
+def test_flags_no_handler_reads_are_usage_errors(capsys, argv):
+    code, out, err = run_main(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --" in err
+
+
 # ---------------------------------------------------------------------------
 # output plumbing
 # ---------------------------------------------------------------------------
@@ -388,6 +401,23 @@ def test_unwritable_out_path_is_a_usage_error(capsys, tmp_path):
     assert err.count("\n") == 1
     assert err.startswith(f"error: cannot write {target}: ")
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "--f", "exp(x)", "--n", "2", "--points", "0.5"),
+    ("remainder", "--f", "sin(x)", "--n", "1", "--points", "0.5,1.0"),
+    ("simplex", "--n", "3", "--samples", "1000"),
+    ("fixedpoint", "--f", "x^2-2", "--x0", "1"),
+    ("verify", "--suite", "fixedpoint", "--samples", "1000"),
+])
+def test_csv_header_is_the_json_record_keys(capsys, argv):
+    code, out, _ = run_main(capsys, *argv)
+    assert code == 0
+    doc = parse_json(out)
+    records = doc["invariants"] if argv[0] == "verify" else doc["rows"]
+    code, out, _ = run_main(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert next(csv.reader(io.StringIO(out))) == list(records[0])
 
 
 def test_float_serialization_round_trips(capsys):

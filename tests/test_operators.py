@@ -77,6 +77,13 @@ def test_compose_d_with_integral_cancels():
     assert g is f
 
 
+def test_compose_d_with_integral_checks_the_base():
+    # I_5 runs before D, and 5 lies outside [0, 1]
+    f = f_of("x", Interval(0.0, 1.0))
+    with pytest.raises(ValueError):
+        apply(Compose(Differentiate(), IntegrateFrom(5.0)), f)
+
+
 def test_cancellation_inside_longer_chains():
     f = f_of("exp(x)")
     # D I D -> D after cancelling the leading pair

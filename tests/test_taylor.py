@@ -10,8 +10,10 @@ import mpmath
 import pytest
 
 from opcalc import taylor
-from opcalc.cli import _CSV_COLUMNS
-from opcalc.expr import const, evaluate, parse, render, var
+from opcalc.cli import main
+from opcalc.expr import (
+    const, differentiate, evaluate, parse, render, simplify, var,
+)
 from opcalc.funcspace import DEFAULT_QUAD_CONFIG
 from opcalc.pool import default_pool
 from opcalc.simplex import remainder_by_slicing
@@ -29,6 +31,16 @@ POOL = default_pool()
 # ---------------------------------------------------------------------------
 # ftoc_step / expand
 # ---------------------------------------------------------------------------
+
+def test_order_zero_is_one_ftoc_step_from_all_residual():
+    f = parse("sin(x)*exp(x)")
+    t = expand(f, 0.3, 0)
+    assert t.coefficients == (evaluate(f, 0.3),)
+    first, second = t.derivative_exprs
+    assert first is f and second is simplify(differentiate(f))
+    minus_one = TaylorExpansion(0.3, -1, (), f, (f,))
+    assert ftoc_step(minus_one) == t
+
 
 def test_single_step_from_exp_base_case():
     t0 = expand(parse("exp(x)"), 0.0, 0)
@@ -258,10 +270,13 @@ def test_report_sin_order_four():
     assert report["bound"] == pytest.approx(1.0 / 120.0, rel=1e-9)
 
 
-def test_routes_are_the_cli_remainder_row():
+def test_routes_are_the_cli_remainder_row(capsys):
     t = expand(parse("ln(1+x)"), 0.0, 2)
     report = remainder_routes(t, [-0.4])[0]
-    assert list(report) == _CSV_COLUMNS["remainder"]
+    argv = ["remainder", "--f", "ln(1+x)", "--n", "2", "--points=-0.4", "--format", "csv"]
+    assert main(argv) == 0
+    header = capsys.readouterr().out.split("\r\n")[0]
+    assert list(report) == header.split(",")
     assert report["sliced"] == remainder_by_slicing(t, -0.4)
 
 
