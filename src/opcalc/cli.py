@@ -17,6 +17,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 
 from .expr import DomainError, ParseError, parse
@@ -36,6 +37,7 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 MAX_RANGE_COUNT = 1_000_000     # --range builds its points before any work
+MAX_ITER = 1_000_000            # fixedpoint keeps every iterate and prints a row for each
 
 # ---------------------------------------------------------------------------
 # Serialization (deterministic, 17 significant digits)
@@ -149,6 +151,9 @@ def _add_point_flags(sp):
                     default=None, help="evenly spaced evaluation points")
 
 
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: parse_args leaves it unchanged."""
@@ -196,6 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=1_000_000)
     sp.add_argument("--seed", type=int, default=2024)
     _add_output_flags(sp)
+    # No option looks like a number, so any "-<digit>" or "-.<digit>" is a value:
+    # argparse's own matcher misses exponent forms such as -1e-3.
+    for subparser in sub.choices.values():
+        subparser._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
@@ -301,6 +310,8 @@ def cmd_simplex(args) -> int:
 def cmd_fixedpoint(args) -> int:
     if args.max_iter < 0:
         raise ValueError("--max-iter must be non-negative")
+    if args.max_iter > MAX_ITER:
+        raise ValueError(f"--max-iter must be at most {MAX_ITER}")
     f = parse(args.f)
     trace = newton(f, args.x0, args.tol, args.max_iter)
     rows = [{"k": 0, "iterate": trace.iterates[0], "residual": None}]

@@ -1,6 +1,6 @@
 """Fixed-point iteration toolkit: scalar iteration, Newton's method with
 symbolic derivatives, the matrix power method, and the root-as-fixed-point
-rewriting.
+rewriting.  The three methods are step maps over one loop, `_iterate`.
 
 Convergence claims here are local: non-convergence within the iteration
 budget is reported as data in the trace, not raised as an error.
@@ -90,52 +90,49 @@ class PowerMethodResult(NamedTuple):
     trace: IterationTrace
 
 
+def _iterate(step, x0, tol: float, max_iter: int, wrap=()) -> IterationTrace:
+    """The one fixed-point loop.  step(x, k) returns the next iterate and its
+    residual; the loop stops at the first residual <= tol.  An exception of a
+    `wrap` type is re-raised as IterationDomainError carrying the trace so far."""
+    iterates, residuals, converged = [x0], [], False
+    for k in range(max_iter):
+        try:
+            x, residual = step(iterates[-1], k)
+        except wrap as err:
+            partial = IterationTrace(tuple(iterates), tuple(residuals), False, len(residuals))
+            raise IterationDomainError(partial, err) from err
+        iterates.append(x)
+        residuals.append(residual)
+        converged = residual <= tol
+        if converged:
+            break
+    return IterationTrace(tuple(iterates), tuple(residuals), converged, len(residuals))
+
+
 def iterate_scalar(g: RealFunction, x0: float, tol: float,
                    max_iter: int) -> IterationTrace:
     """Iterate x <- g(x); converged when successive iterates move <= tol."""
-    x = float(x0)
-    iterates = [x]
-    residuals: list[float] = []
-    converged = False
-    for _ in range(max_iter):
-        try:
-            xn = g(x)
-        except (DomainError, ValueError, ArithmeticError) as err:
-            partial = IterationTrace(tuple(iterates), tuple(residuals),
-                                     False, len(residuals))
-            raise IterationDomainError(partial, err) from err
-        residual = abs(xn - x)
-        iterates.append(xn)
-        residuals.append(residual)
-        x = xn
-        if residual <= tol:
-            converged = True
-            break
-    return IterationTrace(tuple(iterates), tuple(residuals), converged,
-                          len(residuals))
+    def step(x, k):
+        xn = g(x)
+        return xn, abs(xn - x)
+
+    return _iterate(step, float(x0), tol, max_iter,
+                    wrap=(DomainError, ValueError, ArithmeticError))
 
 
 def newton(f: Expr, x0: float, tol: float, max_iter: int) -> IterationTrace:
     """Newton iteration x <- x - f(x)/f'(x) with the exact symbolic
     derivative; converged when |f(x)| <= tol."""
     fprime = simplify(differentiate(f))
-    x = float(x0)
-    iterates = [x]
-    residuals: list[float] = []
-    converged = False
-    for k in range(max_iter):
+
+    def step(x, k):
         d = evaluate(fprime, x)
         if d == 0.0:
             raise ZeroDerivativeError(x, k)
         x = x - evaluate(f, x) / d
-        residual = abs(evaluate(f, x))
-        iterates.append(x)
-        residuals.append(residual)
-        if residual <= tol:
-            converged = True
-            break
-    return IterationTrace(tuple(iterates), tuple(residuals), converged,
-                          len(residuals))
+        return x, abs(evaluate(f, x))
+
+    return _iterate(step, float(x0), tol, max_iter)
 
 
 def power_method(M: SmallMatrix, v0, tol: float,
@@ -150,28 +147,19 @@ def power_method(M: SmallMatrix, v0, tol: float,
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ValueError("v0 must be nonzero")
-    v = v / norm
-    iterates = [v.copy()]
-    residuals: list[float] = []
-    converged = False
-    for _ in range(max_iter):
+
+    def step(v, k):
         w = A @ v
         wnorm = float(np.linalg.norm(w))
         if wnorm == 0.0:
-            raise ZeroImageError(f"matrix maps iterate {len(residuals)} to zero")
+            raise ZeroImageError(f"matrix maps iterate {k} to zero")
         vn = w / wnorm
         sign = 1.0 if float(vn @ v) >= 0.0 else -1.0
-        residual = float(np.linalg.norm(vn - sign * v))
-        iterates.append(vn.copy())
-        residuals.append(residual)
-        v = vn
-        if residual <= tol:
-            converged = True
-            break
-    eigenvalue = float(v @ (A @ v))  # Rayleigh quotient; v is unit
-    trace = IterationTrace(tuple(iterates), tuple(residuals), converged,
-                           len(residuals))
-    return PowerMethodResult(eigenvalue, v, trace)
+        return vn, float(np.linalg.norm(vn - sign * v))
+
+    trace = _iterate(step, v / norm, tol, max_iter)
+    v = trace.final().copy()  # the eigenvector is not the trace's last array
+    return PowerMethodResult(float(v @ (A @ v)), v, trace)  # Rayleigh quotient; v is unit
 
 
 _WIDE_INTERVAL = Interval(-1e9, 1e9)

@@ -27,8 +27,8 @@ from .funcspace import (
 )
 from .operators import (
     Compose, Differentiate, EvaluateAt, IntegrateFrom, Scale,
-    UnsupportedDifferentiationError, apply, ftoc_operator, iterated_integral,
-    iterated_integral_one, monotone_bound,
+    UnsupportedDifferentiationError, apply, check_linearity, ftoc_operator,
+    iterated_integral, iterated_integral_one, monotone_bound,
 )
 from .pool import default_pool
 from .report import CheckReport, from_gap
@@ -149,10 +149,8 @@ def suite_funcspace(cfg: VerifyConfig) -> list[CheckReport]:
         alpha = stream.uniform(-2.0, 2.0)
         beta = stream.uniform(-2.0, 2.0)
         x = stream.uniform(0.0, 0.75)
-        combo = linear_combination(alpha, f, beta, g)
-        lhs = integrate(combo, 0.0, x, quad)
-        rhs = alpha * integrate(f, 0.0, x, quad) + beta * integrate(g, 0.0, x, quad)
-        worst = max(worst, abs(lhs - rhs))
+        report = check_linearity(IntegrateFrom(0.0), f, g, alpha, beta, [x], quad)
+        worst = max(worst, report.measured_gap)
     reports.append(from_gap("funcspace.integrate_linearity", worst,
                             3.0 * quad.abs_tolerance))
 
@@ -445,9 +443,7 @@ def suite_fixedpoint(cfg: VerifyConfig) -> list[CheckReport]:
     for g_text, x0 in (("cos(x)", 1.0), ("x", 2.0), ("2*x", 1.0)):
         t = fp.iterate_scalar(from_expr(parse(g_text), Interval(-1e6, 1e6)),
                               x0, 1e-10, 40)
-        if len(t.residuals) != t.iterations_used:
-            broken += 1
-        if len(t.iterates) != t.iterations_used + 1:
+        if list(t.residuals) != [abs(q - p) for p, q in zip(t.iterates, t.iterates[1:])]:
             broken += 1
         if t.converged and t.residuals[-1] > 1e-10:
             broken += 1

@@ -158,6 +158,7 @@ _REMAINDER = ("remainder", "--f", "sin(x)", "--n", "1")
     ("fixedpoint", "--f", "x^2-2", "--x0", "1", "--tol", "nan"),
     ("fixedpoint", "--f", "x^2-2", "--x0", "inf"),
     ("fixedpoint", "--f", "x^2-2", "--x0", "1", "--max-iter", "-1"),
+    ("fixedpoint", "--f", "x^2-2", "--x0", "1", "--max-iter", "1000001"),
     ("simplex", "--n", "3", "--x", "nan"),
     ("verify", "--suite", "expr", "--perturb-basis", "inf"),
 ])
@@ -166,6 +167,21 @@ def test_non_finite_numbers_are_usage_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert 0 < len(err) <= 1024
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (("expand", "--f", "x", "--n", "1", "--a", "-1e-3"), "a", -1e-3),
+    (("fixedpoint", "--f", "x^2-2", "--x0", "-2e0"), "x0", -2.0),
+    (("simplex", "--n", "2", "--a", "-1e0", "--samples", "1000"), "a", -1.0),
+    (("remainder", "--f", "sin(x)", "--n", "1", "--range", "-1e-1", "1", "3"),
+     "points", [-0.1, 0.45, 1.0]),
+    (("remainder", "--f", "sin(x)", "--n", "1", "--points", "-0.5,0.5"),
+     "points", [-0.5, 0.5]),
+])
+def test_flag_values_may_be_negative_numbers_in_any_notation(capsys, argv, key, value):
+    code, out, err = run_main(capsys, *argv)
+    assert code == 0, err
+    assert parse_json(out)["config"][key] == pytest.approx(value)
 
 
 @pytest.mark.parametrize("text, code, offset", [

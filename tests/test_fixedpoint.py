@@ -1,8 +1,13 @@
 import math
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from opcalc import fixedpoint
 from opcalc.expr import const, evaluate, mul, parse, sub, var
 from opcalc.fixedpoint import (
     IterationDomainError, IterationTrace, PowerMethodResult, SmallMatrix,
@@ -11,6 +16,9 @@ from opcalc.fixedpoint import (
 )
 from opcalc.funcspace import Interval, from_expr
 from opcalc.rng import CounterStream
+from opcalc.verify import VerifyConfig, suite_fixedpoint
+
+DEMO = Path(__file__).resolve().parents[1] / "scripts" / "fixedpoint_demo.py"
 
 
 def g_of(text):
@@ -169,6 +177,62 @@ def test_small_matrix_validation():
         SmallMatrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     with pytest.raises(ValueError):
         SmallMatrix([[1.0, math.inf], [0.0, 1.0]])
+
+
+def test_power_method_zero_image_names_the_iterate():
+    # [[0,1],[0,0]] maps e2 to e1 (step 0) and e1 to zero (step 1)
+    with pytest.raises(ZeroImageError, match="^matrix maps iterate 1 to zero$"):
+        power_method(SmallMatrix([[0.0, 1.0], [0.0, 0.0]]), np.array([0.0, 1.0]),
+                     1e-10, 10)
+
+
+def test_power_method_eigenvector_is_not_the_traced_array():
+    result = power_method(SmallMatrix([[2.0, 1.0], [1.0, 2.0]]),
+                          np.array([1.0, 0.0]), 1e-10, 500)
+    assert result.eigenvector is not result.trace.iterates[-1]
+    assert np.array_equal(result.eigenvector, result.trace.iterates[-1])
+
+
+# ---------------------------------------------------------------------------
+# the shared loop
+# ---------------------------------------------------------------------------
+
+def test_zero_iterations_return_the_start_alone():
+    for trace in (iterate_scalar(g_of("cos(x)"), 1.0, 1e-10, 0),
+                  newton(parse("x^2-2"), 1.0, 1e-10, 0)):
+        assert trace.iterates == (1.0,)
+        assert trace.residuals == ()
+        assert not trace.converged
+        assert trace.iterations_used == 0
+    result = power_method(SmallMatrix([[2.0, 1.0], [1.0, 2.0]]),
+                          np.array([3.0, 4.0]), 1e-10, 0)
+    assert not result.trace.converged
+    assert result.trace.residuals == ()
+    assert np.array_equal(result.trace.iterates[0], [0.6, 0.8])
+    assert result.eigenvalue == pytest.approx(2.96, abs=1e-15)
+
+
+def test_trace_integrity_fails_on_a_misrecorded_residual(monkeypatch):
+    def skewed(*args):
+        trace = iterate_scalar(*args)
+        return replace(trace, residuals=tuple(r * (1 + 1e-12) for r in trace.residuals))
+
+    def integrity():
+        reports = suite_fixedpoint(VerifyConfig(suites=("fixedpoint",)))
+        return next(r for r in reports if r.name == "fixedpoint.trace_integrity")
+
+    report = integrity()
+    assert report.passed and report.measured_gap == 0.0
+    monkeypatch.setattr(fixedpoint, "iterate_scalar", skewed)
+    assert not integrity().passed
+
+
+def test_demo_drives_all_three_methods():
+    proc = subprocess.run([sys.executable, str(DEMO)], capture_output=True,
+                          text=True, check=True)
+    assert "0.7390851332" in proc.stdout          # the Dottie number
+    assert "x=1.414213562373" in proc.stdout
+    assert "eigenvalue 3.0000000000" in proc.stdout
 
 
 # ---------------------------------------------------------------------------
