@@ -154,10 +154,22 @@ def _add_point_flags(sp):
 _NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 
+class UsageError(Exception):
+    """A command line argparse rejects; main reports it on one line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise UsageError instead of printing a
+    usage block and exiting; add_subparsers gives subparsers this class too."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: parse_args leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="opcalc",
         description="Taylor expansion by operator fixed-point iteration, "
                     "with numerically verified remainder identities.",
@@ -358,11 +370,25 @@ _HANDLERS = {
 }
 
 
+def _usage_message(message: str, argv: list[str]) -> str:
+    """message, plus the '=' form when an --f value starting with '-' was
+    read as an option."""
+    if message == "argument --f: expected one argument":
+        for flag, value in zip(argv, argv[1:]):
+            if flag == "--f" and value.startswith("-"):
+                return f"{message}; write --f={value}"
+    return message
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except UsageError as err:
+        print(f"error: {_usage_message(str(err), argv)}", file=sys.stderr)
+        return EXIT_USAGE
+    except SystemExit as exc:  # --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return _HANDLERS[args.command](args)

@@ -4,8 +4,8 @@ that realize the integral operator and the sup-norm bound machinery.
 Quadrature is adaptive bisection over a fixed 15-point Gauss-Kronrod panel;
 the panel error estimate is the difference between the Kronrod value and
 the embedded 7-point Gauss value.  Many integrals bisect together in
-lock-step rounds, one integrand evaluation per round, which is what makes
-nested integrals (an integral-backed integrand) cheap.
+lock-step rounds, one integrand evaluation per round.  The n-fold nest
+I_a^n is not built here but by operators' spectral engine (NestSource).
 """
 
 from __future__ import annotations
@@ -177,11 +177,20 @@ class IntegralSource:
 
 
 @dataclass(frozen=True)
+class NestSource:
+    """I_base^depth integrand, depth >= 1, computed by operators' spectral nest."""
+    base: float
+    integrand: "RealFunction"
+    depth: int
+    cfg: QuadratureConfig
+
+
+@dataclass(frozen=True)
 class ClosureSource:
     fn: Callable[[np.ndarray], np.ndarray]  # maps an array of points to values
 
 
-Source = Union[ExprSource, OneSource, IntegralSource, ClosureSource]
+Source = Union[ExprSource, OneSource, IntegralSource, NestSource, ClosureSource]
 
 
 @dataclass(frozen=True)
@@ -200,6 +209,8 @@ class RealFunction:
             return 1.0
         if isinstance(s, IntegralSource):
             return integrate(s.inner, s.base, x, s.cfg)
+        if isinstance(s, NestSource):
+            return float(self.eval_array(np.array([float(x)]))[0])
         return float(s.fn(np.array([float(x)]))[0])
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
@@ -211,6 +222,9 @@ class RealFunction:
             return np.ones_like(xs)
         if isinstance(s, IntegralSource):
             return integrate_many(s.inner, s.base, xs, s.cfg)
+        if isinstance(s, NestSource):
+            from .operators import nest_values  # operators imports this module
+            return nest_values(s, xs)
         return np.asarray(s.fn(xs), dtype=float)
 
     def is_expr_backed(self) -> bool:

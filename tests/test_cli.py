@@ -379,6 +379,38 @@ def test_parser_reuse_keeps_no_state_between_calls(capsys):
     assert run_main(capsys, *valid) == alone
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("expand", "--n", "1"), "error: the following arguments are required: --f\n"),
+    (("expand", "--f", "x", "--n", "1", "--bogus"),
+     "error: unrecognized arguments: --bogus\n"),
+    (("expand", "--f", "x", "--n", "1", "--format", "xml"),
+     "error: argument --format: invalid choice: 'xml' (choose from 'json', 'csv')\n"),
+    (("expand", "--f", "-x", "--n", "1"),
+     "error: argument --f: expected one argument; write --f=-x\n"),
+    (("remainder", "--f", "-sin(x)", "--n", "1", "--points", "0.5"),
+     "error: argument --f: expected one argument; write --f=-sin(x)\n"),
+])
+def test_argparse_usage_errors_are_one_line(capsys, argv, message):
+    code, out, err = run_main(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == message
+
+
+def test_the_equals_form_takes_a_leading_minus(capsys):
+    code, out, err = run_main(capsys, "expand", "--f=-x", "--n", "1")
+    assert code == 0, err
+    assert parse_json(out)["rows"][1]["derivative_at_base"] == -1.0
+
+
+def test_help_is_still_printed_in_full(capsys):
+    code, out, err = run_main(capsys, "expand", "--help")
+    assert code == 0
+    assert err == ""
+    assert out.startswith("usage: opcalc expand [-h] --f F")
+    assert "--range LO HI COUNT" in out
+
+
 @pytest.mark.parametrize("argv", [
     ("expand", "--f", "exp(x)", "--n", "2", "--tol", "1e-9", "--rel-tol", "1e-6"),
     ("simplex", "--n", "3", "--samples", "1000", "--tol", "1e-9"),

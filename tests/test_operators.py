@@ -1,21 +1,31 @@
 import math
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from opcalc.expr import parse
 from opcalc.funcspace import (
-    DEFAULT_QUAD_CONFIG, Interval, constant_one, from_expr, sup_abs,
+    DEFAULT_QUAD_CONFIG, Interval, NestSource, ToleranceNotMetError,
+    constant_one, from_callable, from_expr, sup_abs,
 )
 from opcalc.operators import (
     Compose, Differentiate, EvaluateAt, Identity, IntegrateFrom, Power, Scale,
     Sum, UnsupportedDifferentiationError, apply, check_linearity, describe,
     ftoc_operator, iterated_integral, iterated_integral_one, monotone_bound,
 )
+from opcalc.pool import default_pool
 
 TOL = DEFAULT_QUAD_CONFIG.abs_tolerance
 IV = Interval(-8.0, 8.0)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def f_of(text, iv=IV):
@@ -162,16 +172,124 @@ def test_iterated_integral_of_exp_matches_closed_form(n):
 def test_iterated_integral_levels_differentiate_back_to_the_level_below():
     g = f_of("sin(x)")
     nested = iterated_integral(g, 4, 0.25)
-    assert nested.source.cfg is DEFAULT_QUAD_CONFIG   # outermost level
+    assert nested.source.cfg is DEFAULT_QUAD_CONFIG
+    xs = np.array([-0.5, 0.25, 0.9, 1.7])
     level = nested
-    for _ in range(4):
+    for depth in (3, 2, 1, 0):
         below = apply(Differentiate(), level)
-        assert below is level.source.inner
+        if depth:
+            assert below.source == NestSource(0.25, g, depth, DEFAULT_QUAD_CONFIG)
+            want = iterated_integral(g, depth, 0.25).eval_array(xs)
+        else:
+            want = g.eval_array(xs)
+        assert below.eval_array(xs).tolist() == want.tolist()
         level = below
-        if level is not g:                             # inner levels loosened
-            assert level.source.cfg.abs_tolerance == 1e-8
-            assert level.source.cfg.max_subdivision_depth == 20
     assert level is g
+
+
+# The adaptive reference: n literal applications of I_a, each one GK15
+# quadrature at the full configuration.
+def adaptive_nest(g, n, a):
+    return apply(Power(IntegrateFrom(a), n), g)
+
+
+@given(
+    index=st.integers(min_value=0, max_value=len(default_pool()) - 1),
+    n=st.integers(min_value=1, max_value=4),
+    u=st.floats(min_value=0.0, max_value=1.0),
+    vs=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=4),
+)
+@settings(max_examples=30, deadline=None)
+def test_iterated_integral_matches_the_adaptive_nest(index, n, u, vs):
+    pf = default_pool()[index]
+    g = pf.function()
+    width = pf.probe_hi - pf.probe_lo
+    a = pf.probe_lo + u * width
+    xs = [a] + [pf.probe_lo + v * width for v in vs]  # x == a inside the batch
+    got = iterated_integral(g, n, a).eval_array(xs)
+    assert got[0] == 0.0
+    reference = adaptive_nest(g, n, a)
+    for x, value in zip(xs, got.tolist()):
+        assert abs(value - reference(x)) <= 10 * TOL
+
+
+def test_iterated_integral_of_one_at_depth_12_against_the_rational_value():
+    a, x = -0.3, 1.2
+    iterated_integral_one(12, a, x)  # build the rule first
+    started = time.perf_counter()
+    got = iterated_integral_one(12, a, x)
+    elapsed = time.perf_counter() - started
+    want = Fraction(1, math.factorial(12)) * (Fraction(x) - Fraction(a)) ** 12
+    assert abs(Fraction(got) - want) <= Fraction(1e-14) * want
+    assert elapsed < 0.05
+
+
+@pytest.mark.parametrize("text, n", [("exp(x)", 1), ("sin(3*x)*exp(x)", 3),
+                                     ("(1+x)^(-1)", 4), ("cos(x)", 7)])
+def test_iterated_integral_points_do_not_depend_on_their_batch(text, n):
+    g = from_expr(parse(text), POOL_IV.get(text, Interval(-2.0, 2.0)))
+    a = 0.25
+    xs = [0.25, 1.5, -0.4, 1.5, 0.3, -0.45, 0.25, 1.9, 0.26]
+    nest = iterated_integral(g, n, a)
+    want = [nest(x).hex() for x in xs]
+    assert [v.hex() for v in nest.eval_array(xs).tolist()] == want
+
+
+def test_iterated_integral_of_nan_raises_at_once():
+    calls = []
+
+    def nan(ts):
+        calls.append(len(ts))
+        return np.full(len(ts), math.nan)
+
+    g = from_callable(nan, IV, "nan")
+    with pytest.raises(ToleranceNotMetError):
+        iterated_integral(g, 2, 0.0).eval_array([0.5, 1.0])
+    assert len(calls) == 2  # the first two passes already disagree by NaN
+
+
+def test_iterated_integral_that_cannot_converge_names_its_interval():
+    rng = np.random.default_rng(7)
+    g = from_callable(lambda ts: rng.standard_normal(len(ts)), IV, "noise")
+    with pytest.raises(ToleranceNotMetError) as info:
+        iterated_integral(g, 2, 0.5).eval_array([0.5, -1.25])
+    assert info.value.interval == (0.5, -1.25)
+
+
+def test_iterated_integral_checks_base_and_range():
+    g = f_of("x", Interval(0.0, 1.0))
+    with pytest.raises(ValueError):
+        iterated_integral(g, 2, 5.0)
+    with pytest.raises(ValueError):
+        iterated_integral(g, 2, 0.0).eval_array([0.5, 2.0])
+    with pytest.raises(ValueError):
+        iterated_integral(g, -1, 0.0)
+    assert iterated_integral(g, 0, 0.0) is g
+
+
+def test_spectral_rule_is_gauss_legendre_and_integrates_polynomials():
+    from numpy.polynomial.legendre import leggauss
+
+    from opcalc.operators import _spectral_rule
+
+    t, rule = _spectral_rule()
+    nodes, weights = leggauss(16)
+    assert t.tolist() == nodes.tolist()
+    assert np.abs(rule[-1] - weights).max() <= 1e-15
+    for k in range(16):  # row i integrates t^k from -1 to t_i, exactly up to rounding
+        want = (t ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+        assert np.abs(np.vecdot(rule[:-1], t ** k) - want).max() <= 1e-14
+
+
+def test_nesting_does_not_import_numpy_polynomial():
+    probe = ("import sys; import opcalc.cli; from opcalc.operators import "
+             "iterated_integral_one; iterated_integral_one(5, 0.0, 1.0); "
+             "print('numpy.polynomial' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +312,11 @@ def test_iterated_integral_one_guards():
     with pytest.raises(ValueError):
         iterated_integral_one(0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        iterated_integral_one(7, 0.0, 1.0)
+        iterated_integral_one(13, 0.0, 1.0)
 
 
 def test_nested_basis_integral_memory_is_bounded():
-    # each nesting level hands eval_array at most a fixed slice of points,
-    # so the depth-5 nest (about 15^5 integrand points) stays small
+    # each pass of the nest hands eval_array a bounded slice of nodes
     tracemalloc.start()
     try:
         got = iterated_integral_one(5, -0.3, 1.2)
