@@ -371,11 +371,11 @@ _HANDLERS = {
 
 
 def _usage_message(message: str, argv: list[str]) -> str:
-    """message, plus the '=' form when an --f value starting with '-' was
-    read as an option."""
+    """message, plus the '=' form when an --f value starting with a single
+    '-' was read as an option; a missing value followed by a flag gets none."""
     if message == "argument --f: expected one argument":
         for flag, value in zip(argv, argv[1:]):
-            if flag == "--f" and value.startswith("-"):
+            if flag == "--f" and value.startswith("-") and not value.startswith("--"):
                 return f"{message}; write --f={value}"
     return message
 

@@ -5,13 +5,16 @@ Quadrature is adaptive bisection over a fixed 15-point Gauss-Kronrod panel;
 the panel error estimate is the difference between the Kronrod value and
 the embedded 7-point Gauss value.  Many integrals bisect together in
 lock-step rounds, one integrand evaluation per round.  The n-fold nest
-I_a^n is not built here but by operators' spectral engine (NestSource).
+I_a^n (NestSource) is a spectral engine on Gauss-Legendre panels that
+bisect the same way, each point on its own panels.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -178,7 +181,7 @@ class IntegralSource:
 
 @dataclass(frozen=True)
 class NestSource:
-    """I_base^depth integrand, depth >= 1, computed by operators' spectral nest."""
+    """I_base^depth integrand, depth >= 1, computed by the spectral nest."""
     base: float
     integrand: "RealFunction"
     depth: int
@@ -223,7 +226,6 @@ class RealFunction:
         if isinstance(s, IntegralSource):
             return integrate_many(s.inner, s.base, xs, s.cfg)
         if isinstance(s, NestSource):
-            from .operators import nest_values  # operators imports this module
             return nest_values(s, xs)
         return np.asarray(s.fn(xs), dtype=float)
 
@@ -369,6 +371,160 @@ def integrate(f: RealFunction, a: float, x: float,
     the sign flipped when x < a.
     """
     return float(integrate_many(f, a, [x], cfg)[0])
+
+
+# ---------------------------------------------------------------------------
+# The spectral nest: I_a^n g as n literal applications of I_a on a composite
+# Gauss-Legendre grid, one indefinite-integration matrix per panel and level
+# (Greengard 1991; Trefethen, ATAP ch. 19).  Each point has panels of its
+# own, and every array op below works panel by panel or row by row, so a
+# point's value does not depend on the batch it came in.
+# ---------------------------------------------------------------------------
+
+_NODES = 16            # Gauss-Legendre nodes per panel
+_MAX_PANELS = 2 ** 10  # panels per point: past this the nest gives up
+_PASS_NODES = 4096     # integrand points per eval_array call: bounds the nest's memory
+
+
+def _legendre(t: Decimal, top: int) -> list[Decimal]:
+    """P_0(t), ..., P_top(t) by the three-term recurrence."""
+    rows = [Decimal(1), t]
+    for k in range(2, top + 1):
+        rows.append(((2 * k - 1) * t * rows[-1] - (k - 1) * rows[-2]) / k)
+    return rows
+
+
+@functools.cache
+def _spectral_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes t (ascending) of the Gauss-Legendre rule on [-1, 1]; the matrix
+    whose row i < len(t) integrates the interpolant through the nodes from
+    -1 to t[i], and whose last row is the weights, the integral to 1; and
+    the two rows that give the interpolant's top two Legendre coefficients.
+    Built in 40-digit decimals, so each entry is the float nearest its
+    value: a build in floats is off by about 1e-16 per entry, which a
+    12-level nest on one panel compounded to 1e-13 relative."""
+    p = _NODES
+    with localcontext() as ctx:
+        ctx.prec = 40
+        t = []
+        for i in range(p, 0, -1):
+            z = Decimal(math.cos(math.pi * (i - 0.25) / (p + 0.5)))
+            for _ in range(100):  # Newton's method on P_p; converges in a few steps
+                rows = _legendre(z, p)
+                step = rows[p] * (z * z - 1) / (p * (z * rows[p] - rows[p - 1]))
+                z -= step
+                if abs(step) < Decimal("1e-36"):
+                    break
+            t.append(z)
+        rows = [_legendre(z, p) for z in t]  # rows[i][k] = P_k(t_i)
+        # 2 / ((1 - t^2) P_p'(t)^2), with P_p'(t) = p (t P_p - P_{p-1}) / (t^2 - 1)
+        w = [2 * (1 - z * z) / (p * (z * r[p] - r[p - 1])) ** 2 for z, r in zip(t, rows)]
+        # coefficient k of the interpolant through values v is sum_j coeffs[k][j] v_j
+        coeffs = [[(2 * k + 1) * w[j] * rows[j][k] / 2 for j in range(p)] for k in range(p)]
+        # integral of P_k from -1 to t: t + 1 for k = 0, else (P_{k+1} - P_{k-1})/(2k+1)
+        antideriv = [[z + 1] + [(r[k + 1] - r[k - 1]) / (2 * k + 1) for k in range(1, p)]
+                     for z, r in zip(t, rows)]
+        s = [[sum(antideriv[i][k] * coeffs[k][j] for k in range(p)) for j in range(p)]
+             for i in range(p)]
+        return (np.array([float(z) for z in t]), np.array(s + [w], dtype=float),
+                np.array(coeffs[-2:], dtype=float))
+
+
+def _nest(vals: np.ndarray, half: np.ndarray, depth: int) -> np.ndarray:
+    """I^depth at the far end of each row's panels.  vals[i, j] holds the
+    integrand at the nodes of point i's panel j (panels in order from the
+    base), half[i, j] that panel's oriented half-width."""
+    _, rule, _ = _spectral_rule()
+    half = half[:, :, None]
+    for _ in range(depth - 1):
+        vals = half * np.vecdot(vals[:, :, None, :], rule)  # last column: panel totals
+        start = np.zeros(vals.shape[:2])  # the integral from the base to each panel's start
+        np.cumsum(vals[:, :-1, -1], axis=1, out=start[:, 1:])
+        vals = vals[:, :, :-1] + start[:, :, None]
+    return np.cumsum(half[:, :, 0] * np.vecdot(vals, rule[-1]), axis=1)[:, -1]
+
+
+def nest_values(src: NestSource, xs) -> np.ndarray:
+    """I_a^depth g at each x in xs.  Each point's [a, x] starts as one panel,
+    and panels split in two in lock-step rounds of one integrand evaluation
+    each.  A panel's error share is the sup of the nest's kernel on [a, x]
+    times its length times the size of the integrand's top two Legendre
+    coefficients there.  A point is done once its shares add up to within
+    its budget; until then a panel splits while its share is over both its
+    own budget (halved per split, as in _bisect) and the float floor.  The
+    n levels then run once over each point's panels, in order from a."""
+    g, depth, a, cfg = src.integrand, src.depth, src.base, src.cfg
+    xs = np.asarray(xs, dtype=float)
+    out = np.zeros(xs.shape)
+    live = (xs != a).nonzero()[0]
+    if not live.size:
+        return out
+    x = xs[live]
+    _check_range(g, min(a, float(x.min())), max(a, float(x.max())))
+    t, _, top = _spectral_rule()
+    # (x - s)^(depth-1) / (depth-1)!, the kernel of I_a^depth, is at most this
+    reach = np.abs(x - a) ** (depth - 1) / math.factorial(depth - 1)
+
+    def sample(owner, lo, hi):  # a panel's integrand values and error share
+        half = 0.5 * (hi - lo)
+        nodes = ((0.5 * (lo + hi))[:, None] + half[:, None] * t).ravel()
+        vals = np.concatenate([g.eval_array(nodes[i:i + _PASS_NODES])
+                               for i in range(0, nodes.size, _PASS_NODES)])
+        vals = vals.reshape(-1, _NODES)
+        tail = np.abs(np.vecdot(vals[:, None, :], top)).sum(axis=1)
+        return vals, reach[owner] * np.abs(2.0 * half) * tail
+
+    owner, lo, hi = np.arange(x.size), np.full(x.size, a), x  # oriented: lo nearer a
+    vals, err = sample(owner, lo, hi)
+    value = _nest(vals[:, None, :], 0.5 * (hi - lo)[:, None], depth)
+    size = np.abs(value)
+    allowed = np.fmax(cfg.abs_tolerance, cfg.rel_tolerance * size)  # per point
+    if (err <= allowed).all():  # one panel each is enough: value is what the loop gives
+        out[live] = value
+        return out
+    floor = 1e-15 * (1.0 + size)
+    budget = allowed  # per panel: halved per split
+    spent = np.zeros(x.size)  # error share of each point's accepted panels
+    count = np.ones(x.size, dtype=int)  # panels per point
+    kept = []  # (owner, lo, hi, vals) of accepted panels
+    level = 0
+    while True:
+        # a point whose panels' shares add up to within its budget is done
+        done = spent + np.bincount(owner, weights=err, minlength=x.size) <= allowed
+        split = ~((err <= np.fmax(budget, floor[owner])) | done[owner])
+        mid = 0.5 * (lo + hi)
+        whole = (np.minimum(lo, hi) < mid) & (mid < np.maximum(lo, hi))
+        split &= whole | np.isnan(err)  # else at float resolution: keep
+        count += np.bincount(owner[split], minlength=x.size)
+        # a NaN share no split can mend, or out of depth or of panels
+        failing = split & (np.isnan(err) | (level >= cfg.max_subdivision_depth)
+                           | (count[owner] > _MAX_PANELS))
+        if failing.any():
+            i = failing.nonzero()[0][0]
+            raise ToleranceNotMetError(float(budget[i]), float(err[i]),
+                                       (a, float(x[owner[i]])))
+        spent += np.bincount(owner[~split], weights=err[~split], minlength=x.size)
+        kept.append((owner[~split], lo[~split], hi[~split], vals[~split]))
+        if not split.any():
+            break
+        owner = np.repeat(owner[split], 2)
+        lo = np.stack([lo[split], mid[split]], axis=1).ravel()
+        hi = np.stack([mid[split], hi[split]], axis=1).ravel()
+        budget = np.repeat(0.5 * budget[split], 2)
+        vals, err = sample(owner, lo, hi)
+        level += 1
+    owner, lo, hi, vals = (np.concatenate(parts) for parts in zip(*kept))
+    order = np.lexsort((np.abs(lo - a), owner))  # by point, then from a outwards
+    first = np.cumsum(count) - count  # index in `order` of each point's first panel
+    half = 0.5 * (hi - lo)
+    for m in sorted(set(count.tolist())):  # points with m panels each, nested together
+        rows = (count == m).nonzero()[0]
+        step = max(1, _PASS_NODES // (_NODES * m))
+        for i in range(0, rows.size, step):
+            chunk = rows[i:i + step]
+            panels = order[first[chunk][:, None] + np.arange(m)]
+            out[live[chunk]] = _nest(vals[panels], half[panels], depth)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,17 +13,16 @@ innermost first, so D composed with I_a returns the operand itself through
 that provenance; no operator-algebra rewriting is attempted.
 
 A single I_a is adaptive GK15 quadrature (funcspace.integrate).  The n-fold
-nest I_a^n is `iterated_integral`, a spectral engine: each point's [a, x] is
-split into equal panels of 16 Gauss-Legendre nodes, the integrand is
-evaluated once at every node, and each of the n levels applies one
-indefinite-integration matrix per panel plus a running sum of panel totals
-(Greengard 1991; Trefethen, ATAP ch. 19).  Panels double until two passes
-agree.  Its NestSource provenance lets D peel one level at a time.
+nest I_a^n is `iterated_integral`, a NestSource that funcspace's spectral
+engine evaluates: each point's [a, x] is bisected adaptively into panels of
+16 Gauss-Legendre nodes, the integrand is evaluated once at every node, and
+each of the n levels applies one indefinite-integration matrix per panel
+plus a running sum of panel totals (Greengard 1991; Trefethen, ATAP
+ch. 19).  The provenance lets D peel one level at a time.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -32,9 +31,8 @@ import numpy as np
 from .expr import const, differentiate, mul, simplify
 from .funcspace import (
     DEFAULT_QUAD_CONFIG, IntegralSource, NestSource, QuadratureConfig,
-    RealFunction, ToleranceNotMetError, _check_range, constant_one,
-    from_callable, from_expr, from_integral, linear_combination, span_interval,
-    sup_abs_many,
+    RealFunction, constant_one, from_callable, from_expr, from_integral,
+    linear_combination, span_interval, sup_abs_many,
 )
 from .report import CheckReport, from_gap
 
@@ -207,98 +205,6 @@ def iterated_integral_one(n: int, a: float, x: float,
     if not 1 <= n <= 12:
         raise ValueError("iterated_integral_one supports 1 <= n <= 12")
     return iterated_integral(constant_one(span_interval(a, x)), n, a, cfg)(x)
-
-
-# ---------------------------------------------------------------------------
-# The spectral nest.  Row i of every array below belongs to point i alone
-# (np.vecdot and np.cumsum(axis=1) work row by row), so a point's value does
-# not depend on the batch it came in.
-# ---------------------------------------------------------------------------
-
-_NODES = 16            # Gauss-Legendre nodes per panel
-_MAX_PANELS = 2 ** 10  # panels per point: past this the nest gives up
-_PASS_NODES = 4096     # integrand points per eval_array call: bounds the nest's memory
-
-
-def _legendre(t: np.ndarray, top: int) -> list[np.ndarray]:
-    """P_0(t), ..., P_top(t) by the three-term recurrence."""
-    rows = [np.ones_like(t), t]
-    for k in range(2, top + 1):
-        rows.append(((2 * k - 1) * t * rows[-1] - (k - 1) * rows[-2]) / k)
-    return rows
-
-
-@functools.cache
-def _spectral_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes t (ascending) of the Gauss-Legendre rule on [-1, 1], and the
-    matrix whose row i < len(t) integrates the interpolant through the nodes
-    from -1 to t[i]; its last row is the weights, the integral to 1."""
-    p = _NODES
-    t = np.cos(np.pi * (np.arange(1, p + 1) - 0.25) / (p + 0.5))
-    for _ in range(100):  # Newton's method on P_p; converges in a few steps
-        rows = _legendre(t, p)
-        step = rows[p] * (t * t - 1.0) / (p * (t * rows[p] - rows[p - 1]))
-        t = t - step
-        if np.abs(step).max() <= 1e-16:
-            break
-    t = t[::-1]
-    rows = _legendre(t, p)
-    slope = p * (t * rows[p] - rows[p - 1]) / (t * t - 1.0)  # P_p'(t)
-    w = 2.0 / ((1.0 - t * t) * slope * slope)
-    legendre = np.stack(rows[:p], axis=1)  # legendre[i, k] = P_k(t_i)
-    # integral of P_k from -1 to t: t + 1 for k = 0, else (P_{k+1} - P_{k-1})/(2k+1)
-    antideriv = np.stack([t + 1.0] + [(rows[k + 1] - rows[k - 1]) / (2 * k + 1)
-                                      for k in range(1, p)], axis=1)
-    scale = (2 * np.arange(p) + 1) / 2.0  # coefficient k is scale_k * sum_j w_j P_k(t_j) v_j
-    s = np.vecdot((antideriv * scale)[:, None, :], legendre[None, :, :]) * w
-    return t, np.vstack([s, w])
-
-
-def _nest_pass(g: RealFunction, depth: int, a: float, x: np.ndarray,
-               panels: int) -> np.ndarray:
-    """I_a^depth g at each x, with [a, x] cut into `panels` equal panels."""
-    t, rule = _spectral_rule()
-    half = (x - a)[:, None, None] / (2 * panels)  # each point's oriented half-width
-    mids = a + (x - a)[:, None] * ((2 * np.arange(panels) + 1) / (2 * panels))
-    nodes = mids[:, :, None] + half * t
-    vals = g.eval_array(nodes.ravel()).reshape(nodes.shape)
-    for _ in range(depth - 1):
-        vals = half * np.vecdot(vals[:, :, None, :], rule)  # last column: panel totals
-        start = np.zeros(mids.shape)  # the integral from a to each panel's start
-        np.cumsum(vals[:, :-1, -1], axis=1, out=start[:, 1:])
-        vals = vals[:, :, :-1] + start[:, :, None]
-    return np.cumsum(half[:, :, 0] * np.vecdot(vals, rule[-1]), axis=1)[:, -1]
-
-
-def nest_values(src: NestSource, xs) -> np.ndarray:
-    """I_a^depth g at each x in xs: passes at 1, 2, 4, ... panels per point,
-    until two successive passes agree within max(abs_tolerance,
-    rel_tolerance*|value|); the later pass is the value."""
-    g, depth, a, cfg = src.integrand, src.depth, src.base, src.cfg
-    xs = np.asarray(xs, dtype=float)
-    out = np.zeros(xs.shape)
-    todo = (xs != a).nonzero()[0]
-    if todo.size:
-        _check_range(g, min(a, float(xs[todo].min())), max(a, float(xs[todo].max())))
-    previous, panels = None, 1
-    while todo.size:
-        step = max(1, _PASS_NODES // (_NODES * panels))  # points per _nest_pass
-        value = np.concatenate([_nest_pass(g, depth, a, xs[todo[i:i + step]], panels)
-                                for i in range(0, todo.size, step)])
-        if previous is not None:
-            gap = np.abs(value - previous)
-            budget = np.fmax(cfg.abs_tolerance, cfg.rel_tolerance * np.abs(value))
-            done = gap <= budget
-            # out of panels, or a NaN gap that no finer pass can mend
-            failing = (~done if panels == _MAX_PANELS else np.isnan(gap)).nonzero()[0]
-            if failing.size:
-                i = failing[0]
-                raise ToleranceNotMetError(float(budget[i]), float(gap[i]),
-                                           (a, float(xs[todo[i]])))
-            out[todo[done]] = value[done]
-            todo, value = todo[~done], value[~done]
-        previous, panels = value, 2 * panels
-    return out
 
 
 def monotone_bound(n: int, g: RealFunction, a, x,

@@ -106,6 +106,14 @@ def test_remainder_depth_guard_nulls_nested(capsys):
     assert row["max_gap"] <= 1e-7
 
 
+def test_remainder_nested_route_resolves_a_kink(capsys):
+    # D f jumps at 0.3, so the nest's panels must bisect towards the jump
+    code, out, err = run_main(capsys, "remainder", "--f", "((x-0.3)^2)^0.5*x",
+                              "--n", "0", "--points", "1")
+    assert code == 0, err
+    assert abs(parse_json(out)["rows"][0]["nested_integral"] - 0.7) <= 1e-9
+
+
 def test_remainder_requires_points(capsys):
     code, _, err = run_main(capsys, "remainder", "--f", "x", "--a", "0", "--n", "1")
     assert code == 2
@@ -389,6 +397,7 @@ def test_parser_reuse_keeps_no_state_between_calls(capsys):
      "error: argument --f: expected one argument; write --f=-x\n"),
     (("remainder", "--f", "-sin(x)", "--n", "1", "--points", "0.5"),
      "error: argument --f: expected one argument; write --f=-sin(x)\n"),
+    (("expand", "--f", "--n", "1"), "error: argument --f: expected one argument\n"),
 ])
 def test_argparse_usage_errors_are_one_line(capsys, argv, message):
     code, out, err = run_main(capsys, *argv)

@@ -245,7 +245,29 @@ def test_iterated_integral_of_nan_raises_at_once():
     g = from_callable(nan, IV, "nan")
     with pytest.raises(ToleranceNotMetError):
         iterated_integral(g, 2, 0.0).eval_array([0.5, 1.0])
-    assert len(calls) == 2  # the first two passes already disagree by NaN
+    assert calls == [32]  # the first evaluation's NaN error share ends the nest
+
+
+def test_iterated_integral_bisects_only_towards_a_jump():
+    calls = []
+
+    def step(ts):
+        calls.append(len(ts))
+        return np.where(ts < 0.3, -1.0, 1.0)
+
+    g = from_callable(step, IV, "step")
+    got = iterated_integral(g, 2, 0.0).eval_array([1.0, -0.5])
+    assert abs(got[0] - (-0.01)) <= 10 * TOL
+    assert abs(got[1] - (-0.125)) <= 10 * TOL
+    # about two panels per level of the bisection, where equal panels would
+    # need 2^40 or more
+    assert sum(calls) <= 16 * 4 * DEFAULT_QUAD_CONFIG.max_subdivision_depth
+
+
+def test_iterated_integral_resolves_a_pole_near_the_range():
+    g = f_of("x^(-1)", Interval(1e-4, 2.0))
+    got = iterated_integral(g, 1, 1.0).eval_array([0.01, 1e-3])
+    assert np.abs(got - np.log([0.01, 1e-3])).max() <= 10 * TOL
 
 
 def test_iterated_integral_that_cannot_converge_names_its_interval():
@@ -270,26 +292,32 @@ def test_iterated_integral_checks_base_and_range():
 def test_spectral_rule_is_gauss_legendre_and_integrates_polynomials():
     from numpy.polynomial.legendre import leggauss
 
-    from opcalc.operators import _spectral_rule
+    from numpy.polynomial.legendre import legval
 
-    t, rule = _spectral_rule()
+    from opcalc.funcspace import _spectral_rule
+
+    t, rule, top = _spectral_rule()
     nodes, weights = leggauss(16)
     assert t.tolist() == nodes.tolist()
     assert np.abs(rule[-1] - weights).max() <= 1e-15
     for k in range(16):  # row i integrates t^k from -1 to t_i, exactly up to rounding
         want = (t ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
         assert np.abs(np.vecdot(rule[:-1], t ** k) - want).max() <= 1e-14
+        # the top rows read off the Legendre coefficients 14 and 15
+        want = [float(k == 14), float(k == 15)]
+        assert np.abs(top @ legval(t, np.eye(16)[k]) - want).max() <= 1e-13
 
 
-def test_nesting_does_not_import_numpy_polynomial():
+def test_nesting_does_not_import_numpy_polynomial_or_ma():
+    # each costs about 1 MB of peak memory (np.unique, for one, loads numpy.ma)
     probe = ("import sys; import opcalc.cli; from opcalc.operators import "
              "iterated_integral_one; iterated_integral_one(5, 0.0, 1.0); "
-             "print('numpy.polynomial' in sys.modules)")
+             "print(sorted({'numpy.polynomial', 'numpy.ma'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
