@@ -1,12 +1,12 @@
 """Evaluable real functions over intervals, plus the numerical primitives
 that realize the integral operator and the sup-norm bound machinery.
 
-Quadrature is adaptive bisection over a fixed 15-point Gauss-Kronrod panel;
-the panel error estimate is the difference between the Kronrod value and
-the embedded 7-point Gauss value.  Many integrals bisect together in
-lock-step rounds, one integrand evaluation per round.  The n-fold nest
-I_a^n (NestSource) is a spectral engine on Gauss-Legendre panels that
-bisect the same way, each point on its own panels.
+One adaptive quadrature engine realizes I_a^n for every n >= 1; a single
+I_a (integrate, integrate_many) is its depth-1 case.  Each point's range is
+bisected, on panels of its own, into composite 16-point Gauss-Legendre
+panels until a Legendre-tail error estimate is within budget, many points
+in lock-step rounds of one integrand evaluation each; then each of the n
+levels applies one indefinite-integration matrix per panel.
 """
 
 from __future__ import annotations
@@ -23,15 +23,17 @@ from .expr import Expr, add, brief, const, evaluate, evaluate_array, mul
 
 
 class ToleranceNotMetError(ArithmeticError):
-    """Quadrature ran out of subdivision depth above the error budget."""
+    """Quadrature stopped above the error budget; `limit` names what stopped
+    it: the subdivision depth, the panel cap or a NaN estimate."""
 
-    def __init__(self, requested: float, achieved: float, interval: tuple):
+    def __init__(self, requested: float, achieved: float, interval: tuple, limit: str):
         self.requested = requested
         self.achieved = achieved
         self.interval = interval
+        self.limit = limit
         super().__init__(
             f"quadrature error estimate {achieved:.3e} exceeds budget "
-            f"{requested:.3e} on {interval} at maximum subdivision depth"
+            f"{requested:.3e} on {interval} {limit}"
         )
 
 
@@ -62,72 +64,6 @@ def span_interval(a: float, x) -> Interval:
     lo, hi = float(min(a, np.min(x))), float(max(a, np.max(x)))
     pad = 1e-9 * (1.0 + hi - lo)
     return Interval(lo - pad, hi + pad)
-
-
-# ---------------------------------------------------------------------------
-# Panel rules.
-#
-# The Gauss-Kronrod 15 abscissae/weights below are the standard published
-# values (the odd-indexed abscissae are exactly the 7-point Gauss nodes).
-# tests/test_funcspace.py re-derives the Gauss subset from numpy's Legendre
-# solver and pins the Kronrod half by polynomial degree exactness.
-# ---------------------------------------------------------------------------
-
-_GK15_ABSCISSAE_HALF = np.array([
-    0.991455371120813,
-    0.949107912342759,
-    0.864864423359769,
-    0.741531185599394,
-    0.586087235467691,
-    0.405845151377397,
-    0.207784955007898,
-    0.000000000000000,
-])
-
-_GK15_WEIGHTS_HALF = np.array([
-    0.022935322010529,
-    0.063092092629979,
-    0.104790010322250,
-    0.140653259715525,
-    0.169004726639267,
-    0.190350578064785,
-    0.204432940075298,
-    0.209482141084728,
-])
-
-_G7_WEIGHTS_HALF = np.array([
-    0.129484966168870,
-    0.279705391489277,
-    0.381830050505119,
-    0.417959183673469,
-])
-
-
-def _mirror(half: np.ndarray, negate: bool) -> np.ndarray:
-    head = -half[:-1] if negate else half[:-1]
-    return np.concatenate([head, half[::-1]])
-
-
-_GK15_NODES = _mirror(_GK15_ABSCISSAE_HALF, negate=True)       # ascending, 15
-_GK15_WEIGHTS = _mirror(_GK15_WEIGHTS_HALF, negate=False)
-_G7_EMBEDDED = np.zeros(15)
-_G7_EMBEDDED[1::2] = _mirror(_G7_WEIGHTS_HALF, negate=False)   # Gauss nodes sit at odd slots
-
-
-def _panel_gk15(feval, lo: np.ndarray, hi: np.ndarray):
-    hw = 0.5 * (hi - lo)
-    mid = 0.5 * (lo + hi)
-    vals = feval((mid[:, None] + hw[:, None] * _GK15_NODES).ravel()).reshape(-1, 15)
-    high = hw * np.vecdot(vals, _GK15_WEIGHTS)
-    low = hw * np.vecdot(vals, _G7_EMBEDDED)
-    return high, np.abs(high - low)
-
-
-# A rule maps arrays of panels to (estimates, error estimates), calling feval
-# once.  np.vecdot is np.dot per panel, so a panel's bits do not depend on
-# its batch (a BLAS matrix-vector product does not promise that).  _bisect
-# looks the rule up here on every call, so a wrapper put here sees each one.
-PANEL_RULES = {"gk15": _panel_gk15}
 
 
 @dataclass(frozen=True)
@@ -173,15 +109,8 @@ class OneSource:
 
 
 @dataclass(frozen=True)
-class IntegralSource:
-    base: float
-    inner: "RealFunction"
-    cfg: QuadratureConfig
-
-
-@dataclass(frozen=True)
 class NestSource:
-    """I_base^depth integrand, depth >= 1, computed by the spectral nest."""
+    """I_base^depth integrand, depth >= 1, computed by the quadrature engine."""
     base: float
     integrand: "RealFunction"
     depth: int
@@ -193,7 +122,7 @@ class ClosureSource:
     fn: Callable[[np.ndarray], np.ndarray]  # maps an array of points to values
 
 
-Source = Union[ExprSource, OneSource, IntegralSource, NestSource, ClosureSource]
+Source = Union[ExprSource, OneSource, NestSource, ClosureSource]
 
 
 @dataclass(frozen=True)
@@ -210,8 +139,6 @@ class RealFunction:
             return evaluate(s.expr, x)
         if isinstance(s, OneSource):
             return 1.0
-        if isinstance(s, IntegralSource):
-            return integrate(s.inner, s.base, x, s.cfg)
         if isinstance(s, NestSource):
             return float(self.eval_array(np.array([float(x)]))[0])
         return float(s.fn(np.array([float(x)]))[0])
@@ -223,10 +150,8 @@ class RealFunction:
             return evaluate_array(s.expr, xs)
         if isinstance(s, OneSource):
             return np.ones_like(xs)
-        if isinstance(s, IntegralSource):
-            return integrate_many(s.inner, s.base, xs, s.cfg)
         if isinstance(s, NestSource):
-            return nest_values(s, xs)
+            return _nest_many(s.integrand, s.depth, s.base, xs, s.cfg)
         return np.asarray(s.fn(xs), dtype=float)
 
     def is_expr_backed(self) -> bool:
@@ -256,12 +181,6 @@ def from_callable(fn: Callable[[np.ndarray], np.ndarray], domain: Interval,
     return RealFunction(ClosureSource(fn), domain, label)
 
 
-def from_integral(base: float, inner: RealFunction,
-                  cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG) -> RealFunction:
-    return RealFunction(IntegralSource(float(base), inner, cfg), inner.domain,
-                        f"I[{base}]({inner.label})")
-
-
 def linear_combination(alpha: float, f: RealFunction, beta: float,
                        g: RealFunction) -> RealFunction:
     """alpha*f + beta*g, staying symbolic when both operands are."""
@@ -280,110 +199,17 @@ def absolute(f: RealFunction) -> RealFunction:
 
 
 # ---------------------------------------------------------------------------
-# integrate: a single application of the integral operator, evaluated at x.
-# ---------------------------------------------------------------------------
-
-_SLICE_POINTS = 1024  # integrand points per eval_array call: bounds nested memory
-
-
-def _check_range(f: RealFunction, lo: float, hi: float) -> None:
-    if not (f.domain.contains(lo) and f.domain.contains(hi)):
-        raise ValueError(
-            f"integration range [{lo}, {hi}] outside domain "
-            f"[{f.domain.a}, {f.domain.b}] of '{f.label}'"
-        )
-
-
-def _bisect(f: RealFunction, lo: np.ndarray, hi: np.ndarray,
-            cfg: QuadratureConfig) -> np.ndarray:
-    """Integrals of f over [lo[i], hi[i]], lo < hi, bisected in lock-step
-    rounds of one rule call each.  A panel is accepted within its budget
-    (halved per level) or its integral's float floor, else split; accepted
-    values are summed pairwise, left before right, as a recursion would."""
-    def feval(ts: np.ndarray) -> np.ndarray:
-        if len(ts) <= _SLICE_POINTS:
-            return f.eval_array(ts)
-        return np.concatenate([f.eval_array(ts[i:i + _SLICE_POINTS])
-                               for i in range(0, len(ts), _SLICE_POINTS)])
-
-    panel = PANEL_RULES["gk15"]
-    value, err = panel(feval, lo, hi)
-    if (err <= cfg.abs_tolerance).all():  # within every budget: nothing to split
-        return value
-    size = np.abs(value)
-    budget = np.fmax(cfg.abs_tolerance, cfg.rel_tolerance * size)
-    floor = 1e-15 * (1.0 + size)
-    rounds = []  # (panel values, indices of the panels split) per round
-    depth = cfg.max_subdivision_depth
-    while True:
-        idx = (~(err <= np.fmax(budget, floor))).nonzero()[0]  # panels to split
-        if idx.size:
-            # out of depth, or a NaN error no split can bring within budget
-            # (splitting it would double the round every round)
-            failing = idx if depth <= 0 else idx[np.isnan(err[idx])]
-            if failing.size:
-                i = failing[0]  # leftmost failing panel of the first integral
-                raise ToleranceNotMetError(float(budget[i]), float(err[i]),
-                                           (float(lo[i]), float(hi[i])))
-            left, right = lo[idx], hi[idx]
-            mid = 0.5 * (left + right)
-            whole = (left < mid) & (mid < right)  # else at float resolution: keep
-            idx, left, mid, right = idx[whole], left[whole], mid[whole], right[whole]
-        rounds.append((value, idx))
-        if not idx.size:
-            break
-        lo = np.stack([left, mid], axis=1).ravel()
-        hi = np.stack([mid, right], axis=1).ravel()
-        budget = np.repeat(0.5 * budget[idx], 2)
-        floor = np.repeat(floor[idx], 2)
-        value, err = panel(feval, lo, hi)
-        depth -= 1
-    total = rounds.pop()[0]
-    while rounds:
-        value, idx = rounds.pop()
-        value[idx] = total[0::2] + total[1::2]
-        total = value
-    return total
-
-
-def integrate_many(f: RealFunction, a: float, xs,
-                   cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG) -> np.ndarray:
-    """Estimates of the integral of f from a to each x in xs, as integrate
-    gives them one at a time, computed together in lock-step rounds."""
-    a = float(a)
-    xs = np.asarray(xs, dtype=float)
-    out = np.zeros(len(xs))
-    live = (xs != a).nonzero()[0]
-    if live.size:
-        x = xs[live]
-        lo, hi = np.minimum(x, a), np.maximum(x, a)
-        _check_range(f, float(lo.min()), float(hi.max()))
-        total = _bisect(f, lo, hi, cfg)
-        out[live] = np.where(x < a, -total, total)
-    return out
-
-
-def integrate(f: RealFunction, a: float, x: float,
-              cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG) -> float:
-    """Estimate of the integral of f from a to x: integrate_many at one limit.
-
-    Antisymmetric by construction: the oriented interval is integrated and
-    the sign flipped when x < a.
-    """
-    return float(integrate_many(f, a, [x], cfg)[0])
-
-
-# ---------------------------------------------------------------------------
-# The spectral nest: I_a^n g as n literal applications of I_a on a composite
-# Gauss-Legendre grid, one indefinite-integration matrix per panel and level
-# (Greengard 1991; Trefethen, ATAP ch. 19).  Each point has panels of its
-# own, and every array op below works panel by panel or row by row, so a
-# point's value does not depend on the batch it came in.
+# The quadrature engine: I_a^n g, n >= 1, as n literal applications of I_a
+# on a composite Gauss-Legendre grid, one indefinite-integration matrix per
+# panel and level (Greengard 1991; Trefethen, ATAP ch. 19).  A single I_a,
+# integrate_many, is its depth-1 case.  Each point has panels of its own,
+# and every array op below works panel by panel or row by row, so a point's
+# value does not depend on the batch it came in.
 # ---------------------------------------------------------------------------
 
 _NODES = 16            # Gauss-Legendre nodes per panel
-_MAX_PANELS = 2 ** 10  # panels per point: past this the nest gives up
-_PASS_NODES = 4096     # integrand points per eval_array call: bounds the nest's memory
+_MAX_PANELS = 2 ** 10  # panels per point: past this the engine gives up
+_PASS_NODES = 4096     # integrand points per eval_array call: bounds memory at every depth
 
 
 def _legendre(t: Decimal, top: int) -> list[Decimal]:
@@ -430,6 +256,30 @@ def _spectral_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 np.array(coeffs[-2:], dtype=float))
 
 
+def _panel_gl16(feval, lo: np.ndarray, hi: np.ndarray):
+    t, _, top = _spectral_rule()
+    half = 0.5 * (hi - lo)
+    vals = feval(((0.5 * (lo + hi))[:, None] + half[:, None] * t).ravel()).reshape(-1, _NODES)
+    return vals, np.abs(np.vecdot(vals[:, None, :], top)).sum(axis=1)
+
+
+# A rule maps arrays of panels [lo[i], hi[i]] (either orientation) to the
+# integrand's values at each panel's nodes and the size of the top two
+# Legendre coefficients of its interpolant there, calling feval once.
+# np.vecdot is np.dot per panel, so a panel's bits do not depend on its batch
+# (a BLAS matrix-vector product does not promise that).  The engine looks
+# the rule up here every round, so a wrapper put here sees each round.
+PANEL_RULES = {"gl16": _panel_gl16}
+
+
+def _check_range(f: RealFunction, lo: float, hi: float) -> None:
+    if not (f.domain.contains(lo) and f.domain.contains(hi)):
+        raise ValueError(
+            f"integration range [{lo}, {hi}] outside domain "
+            f"[{f.domain.a}, {f.domain.b}] of '{f.label}'"
+        )
+
+
 def _nest(vals: np.ndarray, half: np.ndarray, depth: int) -> np.ndarray:
     """I^depth at the far end of each row's panels.  vals[i, j] holds the
     integrand at the nodes of point i's panel j (panels in order from the
@@ -439,92 +289,136 @@ def _nest(vals: np.ndarray, half: np.ndarray, depth: int) -> np.ndarray:
     for _ in range(depth - 1):
         vals = half * np.vecdot(vals[:, :, None, :], rule)  # last column: panel totals
         start = np.zeros(vals.shape[:2])  # the integral from the base to each panel's start
-        np.cumsum(vals[:, :-1, -1], axis=1, out=start[:, 1:])
+        vals[:, :-1, -1].cumsum(axis=1, out=start[:, 1:])
         vals = vals[:, :, :-1] + start[:, :, None]
-    return np.cumsum(half[:, :, 0] * np.vecdot(vals, rule[-1]), axis=1)[:, -1]
+    return (half[:, :, 0] * np.vecdot(vals, rule[-1])).cumsum(axis=1)[:, -1]
 
 
-def nest_values(src: NestSource, xs) -> np.ndarray:
-    """I_a^depth g at each x in xs.  Each point's [a, x] starts as one panel,
-    and panels split in two in lock-step rounds of one integrand evaluation
-    each.  A panel's error share is the sup of the nest's kernel on [a, x]
-    times its length times the size of the integrand's top two Legendre
-    coefficients there.  A point is done once its shares add up to within
-    its budget; until then a panel splits while its share is over both its
-    own budget (halved per split, as in _bisect) and the float floor.  The
-    n levels then run once over each point's panels, in order from a."""
-    g, depth, a, cfg = src.integrand, src.depth, src.base, src.cfg
+def _adapt(g: RealFunction, depth: int, start: np.ndarray, end: np.ndarray,
+           cfg: QuadratureConfig) -> np.ndarray:
+    """I^depth g from start[i] to end[i], for each point i.  Each point's
+    range starts as one panel, and panels split in two in lock-step rounds
+    of one rule call each.  A panel's error share is the sup of the nest's
+    kernel on the range times the panel's length times its Legendre tail.
+    A point is done once its shares add up to within its budget; until
+    then a panel splits while its share is over both its own budget
+    (halved per split) and the float floor.  The depth levels then run
+    once over each point's panels, in order from start."""
+    def feval(ts: np.ndarray) -> np.ndarray:
+        if ts.size <= _PASS_NODES:
+            return g.eval_array(ts)
+        return np.concatenate([g.eval_array(ts[i:i + _PASS_NODES])
+                               for i in range(0, ts.size, _PASS_NODES)])
+
+    if depth > 1:  # (x - s)^(depth-1) / (depth-1)!, the kernel of I^depth, is at most this
+        reach = np.abs(end - start) ** (depth - 1) / math.factorial(depth - 1)
+
+    def sample(owner, lo, hi):  # panels' integrand values and error shares
+        vals, tail = PANEL_RULES["gl16"](feval, lo, hi)
+        width = np.abs(hi - lo)
+        return vals, (width if depth == 1 else reach[owner] * width) * tail
+
+    n = start.size
+    owner, lo, hi = np.arange(n), start, end
+    vals, err = sample(owner, lo, hi)
+    half = 0.5 * (hi - lo)
+    if depth == 1:
+        value = half * np.vecdot(vals, _spectral_rule()[1][-1])
+    else:
+        value = _nest(vals[:, None, :], half[:, None], depth)
+    if (err <= cfg.abs_tolerance).all():  # within every budget: one panel each is enough
+        return value
+    size = np.abs(value)
+    allowed = np.fmax(cfg.abs_tolerance, cfg.rel_tolerance * size)  # per point
+    floor = 1e-15 * (1.0 + size)
+    # the panel arrays hold each point's panels in order from start; a split
+    # panel is replaced in place by its two halves
+    live = np.ones(n, dtype=bool)  # panels not yet accepted
+    level = 0
+    while True:
+        # a point whose panels' shares add up to within its budget is done;
+        # until then a live panel splits while its share is over both its
+        # budget, halved per split, and the float floor, unless it is at
+        # float resolution (a NaN share splits, and fails); the rest are
+        # accepted
+        limit = np.fmax(allowed * 0.5 ** level, floor)
+        limit[np.bincount(owner, weights=err, minlength=n) <= allowed] = np.inf
+        split = live & ~(err <= limit[owner])
+        if split.any():
+            mid = 0.5 * (lo + hi)
+            nan = np.isnan(err)
+            split &= ((mid != lo) & (mid != hi)) | nan
+        if not split.any():
+            break
+        pick = np.arange(owner.size).repeat(split + 1)  # a split panel twice, in place
+        count = np.bincount(owner[pick], minlength=n)  # panels per point
+        # a NaN share no split can mend, or out of depth or of panels
+        if level >= cfg.max_subdivision_depth or nan.any() or count.max() > _MAX_PANELS:
+            failing = (split if level >= cfg.max_subdivision_depth
+                       else split & (nan | (count[owner] > _MAX_PANELS)))
+            i = failing.nonzero()[0][0]
+            if nan[i]:
+                reason = "because the estimate is NaN"
+            elif level >= cfg.max_subdivision_depth:
+                reason = "at maximum subdivision depth"
+            else:
+                reason = f"at the cap of {_MAX_PANELS} panels for one point"
+            raise ToleranceNotMetError(float(allowed[owner[i]] * 0.5 ** level), float(err[i]),
+                                       (float(start[owner[i]]), float(end[owner[i]])), reason)
+        live = split[pick]  # the halves
+        owner, lo, hi, vals, err = owner[pick], lo[pick], hi[pick], vals[pick], err[pick]
+        halves = live.nonzero()[0]
+        lo[halves[1::2]] = hi[halves[0::2]] = mid[split]
+        vals[halves], err[halves] = sample(owner[halves], lo[halves], hi[halves])
+        level += 1
+    count = np.bincount(owner, minlength=n)  # panels per point
+    first = count.cumsum() - count  # index of each point's first panel
+    half = 0.5 * (hi - lo)
+    value = np.empty(n)
+    for m in sorted(set(count.tolist())):  # points with m panels each, nested together
+        rows = (count == m).nonzero()[0]
+        step = max(1, _PASS_NODES // (_NODES * m))
+        for i in range(0, rows.size, step):
+            chunk = rows[i:i + step]
+            panels = first[chunk][:, None] + np.arange(m)
+            value[chunk] = _nest(vals[panels], half[panels], depth)
+    return value
+
+
+def _nest_many(g: RealFunction, depth: int, a: float, xs,
+               cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG) -> np.ndarray:
+    """I_a^depth g at each x in xs, depth >= 1.  At depth 1 the panels tile
+    [min(a, x), max(a, x)] upwards and the sign is flipped where x < a, so
+    a single integral is exactly antisymmetric; deeper nests run from a."""
+    a = float(a)
     xs = np.asarray(xs, dtype=float)
     out = np.zeros(xs.shape)
     live = (xs != a).nonzero()[0]
     if not live.size:
         return out
     x = xs[live]
-    _check_range(g, min(a, float(x.min())), max(a, float(x.max())))
-    t, _, top = _spectral_rule()
-    # (x - s)^(depth-1) / (depth-1)!, the kernel of I_a^depth, is at most this
-    reach = np.abs(x - a) ** (depth - 1) / math.factorial(depth - 1)
-
-    def sample(owner, lo, hi):  # a panel's integrand values and error share
-        half = 0.5 * (hi - lo)
-        nodes = ((0.5 * (lo + hi))[:, None] + half[:, None] * t).ravel()
-        vals = np.concatenate([g.eval_array(nodes[i:i + _PASS_NODES])
-                               for i in range(0, nodes.size, _PASS_NODES)])
-        vals = vals.reshape(-1, _NODES)
-        tail = np.abs(np.vecdot(vals[:, None, :], top)).sum(axis=1)
-        return vals, reach[owner] * np.abs(2.0 * half) * tail
-
-    owner, lo, hi = np.arange(x.size), np.full(x.size, a), x  # oriented: lo nearer a
-    vals, err = sample(owner, lo, hi)
-    value = _nest(vals[:, None, :], 0.5 * (hi - lo)[:, None], depth)
-    size = np.abs(value)
-    allowed = np.fmax(cfg.abs_tolerance, cfg.rel_tolerance * size)  # per point
-    if (err <= allowed).all():  # one panel each is enough: value is what the loop gives
-        out[live] = value
-        return out
-    floor = 1e-15 * (1.0 + size)
-    budget = allowed  # per panel: halved per split
-    spent = np.zeros(x.size)  # error share of each point's accepted panels
-    count = np.ones(x.size, dtype=int)  # panels per point
-    kept = []  # (owner, lo, hi, vals) of accepted panels
-    level = 0
-    while True:
-        # a point whose panels' shares add up to within its budget is done
-        done = spent + np.bincount(owner, weights=err, minlength=x.size) <= allowed
-        split = ~((err <= np.fmax(budget, floor[owner])) | done[owner])
-        mid = 0.5 * (lo + hi)
-        whole = (np.minimum(lo, hi) < mid) & (mid < np.maximum(lo, hi))
-        split &= whole | np.isnan(err)  # else at float resolution: keep
-        count += np.bincount(owner[split], minlength=x.size)
-        # a NaN share no split can mend, or out of depth or of panels
-        failing = split & (np.isnan(err) | (level >= cfg.max_subdivision_depth)
-                           | (count[owner] > _MAX_PANELS))
-        if failing.any():
-            i = failing.nonzero()[0][0]
-            raise ToleranceNotMetError(float(budget[i]), float(err[i]),
-                                       (a, float(x[owner[i]])))
-        spent += np.bincount(owner[~split], weights=err[~split], minlength=x.size)
-        kept.append((owner[~split], lo[~split], hi[~split], vals[~split]))
-        if not split.any():
-            break
-        owner = np.repeat(owner[split], 2)
-        lo = np.stack([lo[split], mid[split]], axis=1).ravel()
-        hi = np.stack([mid[split], hi[split]], axis=1).ravel()
-        budget = np.repeat(0.5 * budget[split], 2)
-        vals, err = sample(owner, lo, hi)
-        level += 1
-    owner, lo, hi, vals = (np.concatenate(parts) for parts in zip(*kept))
-    order = np.lexsort((np.abs(lo - a), owner))  # by point, then from a outwards
-    first = np.cumsum(count) - count  # index in `order` of each point's first panel
-    half = 0.5 * (hi - lo)
-    for m in sorted(set(count.tolist())):  # points with m panels each, nested together
-        rows = (count == m).nonzero()[0]
-        step = max(1, _PASS_NODES // (_NODES * m))
-        for i in range(0, rows.size, step):
-            chunk = rows[i:i + step]
-            panels = order[first[chunk][:, None] + np.arange(m)]
-            out[live[chunk]] = _nest(vals[panels], half[panels], depth)
+    lo, hi = float(x.min()), float(x.max())
+    _check_range(g, min(a, lo), max(a, hi))
+    if depth > 1:
+        out[live] = _adapt(g, depth, np.full(x.size, a), x, cfg)
+    else:
+        value = _adapt(g, 1, np.minimum(x, a), np.maximum(x, a), cfg)
+        out[live] = value if lo > a else np.where(x < a, -value, value)
     return out
+
+
+def integrate_many(f: RealFunction, a: float, xs,
+                   cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG) -> np.ndarray:
+    """Estimates of the integral of f from a to each x in xs: the engine at
+    depth 1, all points in lock-step rounds."""
+    return _nest_many(f, 1, a, xs, cfg)
+
+
+def integrate(f: RealFunction, a: float, x: float,
+              cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG) -> float:
+    """Estimate of the integral of f from a to x: integrate_many at one
+    limit.  integrate(f, a, x) == -integrate(f, x, a) exactly."""
+    return float(integrate_many(f, a, [x], cfg)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,13 @@ theorem).  Compositions and powers apply their operators one at a time,
 innermost first, so D composed with I_a returns the operand itself through
 that provenance; no operator-algebra rewriting is attempted.
 
-A single I_a is adaptive GK15 quadrature (funcspace.integrate).  The n-fold
-nest I_a^n is `iterated_integral`, a NestSource that funcspace's spectral
-engine evaluates: each point's [a, x] is bisected adaptively into panels of
-16 Gauss-Legendre nodes, the integrand is evaluated once at every node, and
-each of the n levels applies one indefinite-integration matrix per panel
-plus a running sum of panel totals (Greengard 1991; Trefethen, ATAP
-ch. 19).  The provenance lets D peel one level at a time.
+I_a^n, a single I_a (n = 1) included, is `iterated_integral`, a NestSource
+that funcspace's quadrature engine evaluates: each point's [a, x] is
+bisected adaptively into panels of 16 Gauss-Legendre nodes, the integrand
+is evaluated once at every node, and each of the n levels applies one
+indefinite-integration matrix per panel plus a running sum of panel totals
+(Greengard 1991; Trefethen, ATAP ch. 19).  The provenance lets D peel one
+level at a time.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ import numpy as np
 
 from .expr import const, differentiate, mul, simplify
 from .funcspace import (
-    DEFAULT_QUAD_CONFIG, IntegralSource, NestSource, QuadratureConfig,
-    RealFunction, constant_one, from_callable, from_expr, from_integral,
-    linear_combination, span_interval, sup_abs_many,
+    DEFAULT_QUAD_CONFIG, NestSource, QuadratureConfig, RealFunction,
+    constant_one, from_callable, from_expr, linear_combination, span_interval,
+    sup_abs_many,
 )
 from .report import CheckReport, from_gap
 
@@ -129,8 +129,6 @@ def _apply_differentiate(f: RealFunction) -> RealFunction:
     if f.is_expr_backed():
         d = simplify(differentiate(f.as_expr()))
         return from_expr(d, f.domain, f"D({f.label})")
-    if isinstance(f.source, IntegralSource):
-        return f.source.inner
     if isinstance(f.source, NestSource):
         s = f.source
         return iterated_integral(s.integrand, s.depth - 1, s.base, s.cfg)
@@ -153,8 +151,7 @@ def apply(op: OperatorNode, f: RealFunction,
     if isinstance(op, Differentiate):
         return _apply_differentiate(f)
     if isinstance(op, IntegrateFrom):
-        _check_base(op.base, f)
-        return from_integral(op.base, f, cfg)
+        return iterated_integral(f, 1, op.base, cfg)
     if isinstance(op, EvaluateAt):
         value = f(op.base)
         return from_expr(const(value), f.domain, f"{f.label}({op.base})*1")
@@ -188,7 +185,7 @@ def ftoc_operator(a: float) -> OperatorNode:
 
 def iterated_integral(g: RealFunction, n: int, a: float,
                       cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG) -> RealFunction:
-    """I_a^n g, n >= 0, as a NestSource that the spectral engine evaluates;
+    """I_a^n g, n >= 0, as a NestSource that the quadrature engine evaluates;
     I_a^0 g is g."""
     if n < 0:
         raise ValueError("iterated_integral requires n >= 0")

@@ -14,9 +14,12 @@ Remainder routes:
   direct          f(x) - P_N(x)
   exact_integral  single quadrature of (x-t)^N/N! * f^(N+1)(t)
   nested_integral N+1 literal applications of I_a (pre-exchange order), by
-                  the spectral nest operators.iterated_integral
+                  operators.iterated_integral
   sliced          f^(N+1) against simplex slice volumes (simplex.py)
   bound           sup|f^(N+1)| * |x-a|^(N+1)/(N+1)!
+The three integral routes run on funcspace's one quadrature engine (a single
+quadrature is its depth-1 case), each on an integrand of its own, so no
+route is computed from another.
 remainder_routes evaluates them all at many points, with each point's
 largest pairwise gap; that agreement is what the test suites certify.  The
 nested and bound routes take arrays of points: one iterated_integral

@@ -214,9 +214,8 @@ def suite_operators(cfg: VerifyConfig) -> list[CheckReport]:
             gr = apply(right, f, quad)
         except UnsupportedDifferentiationError:
             continue
-        for k in range(50):
-            x = pf.probe_lo + (pf.probe_hi - pf.probe_lo) * k / 49.0
-            worst = max(worst, abs(gl(x) - gr(x)))
+        xs = [pf.probe_lo + (pf.probe_hi - pf.probe_lo) * k / 49.0 for k in range(50)]
+        worst = max(worst, float(np.abs(gl.eval_array(xs) - gr.eval_array(xs)).max()))
     reports.append(from_gap("operators.composition_associativity", worst,
                             5.0 * quad.abs_tolerance))
 
@@ -224,8 +223,8 @@ def suite_operators(cfg: VerifyConfig) -> list[CheckReport]:
     for pf in pool:
         f = pf.function()
         lf = apply(ftoc_operator(pf.base), f, quad)
-        for x in pf.probes(20):
-            worst = max(worst, abs(lf(x) - f(x)))
+        xs = pf.probes(20)
+        worst = max(worst, float(np.abs(lf.eval_array(xs) - f.eval_array(xs)).max()))
     reports.append(from_gap("operators.ftoc_fixed_point", worst,
                             5.0 * quad.abs_tolerance))
 

@@ -5,12 +5,14 @@ import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from opcalc.cli import build_parser, main
 
 PKG_ENV = {"PYTHONPATH": "src"}
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_main(capsys, *argv):
@@ -238,6 +240,28 @@ def test_remainder_failure_over_several_points_is_one_line(capsys, f, n, points)
     assert code == 3
     assert out == ""
     assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
+
+def _limit_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_unresolvable_remainder_stops_at_the_panel_cap_in_bounded_memory():
+    # f^(5) of |x-0.3|*x cancels catastrophically near 0.3, so no panel
+    # count meets the budget: quadrature must stop at its panel cap, not
+    # grow until memory runs out
+    proc = subprocess.run(
+        [sys.executable, "-m", "opcalc", "remainder", "--f", "((x-0.3)^2)^0.5*x",
+         "--n", "4", "--points", "1.0"],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space,
+        env={**__import__("os").environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("numeric failure: quadrature")
+    assert proc.stderr.count("\n") == 1
+    assert "at the cap of 1024 panels for one point" in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from opcalc.operators import (
     ftoc_operator, iterated_integral, iterated_integral_one, monotone_bound,
 )
 from opcalc.pool import default_pool
+from test_funcspace import ref_integrate
 
 TOL = DEFAULT_QUAD_CONFIG.abs_tolerance
 IV = Interval(-8.0, 8.0)
@@ -187,10 +188,14 @@ def test_iterated_integral_levels_differentiate_back_to_the_level_below():
     assert level is g
 
 
-# The adaptive reference: n literal applications of I_a, each one GK15
-# quadrature at the full configuration.
+# The adaptive reference: n literal applications of I_a, each one recursive
+# GK15 quadrature (tests/test_funcspace.py) at the full configuration.
 def adaptive_nest(g, n, a):
-    return apply(Power(IntegrateFrom(a), n), g)
+    for _ in range(n):
+        g = from_callable(lambda xs, g=g: np.array(
+            [ref_integrate(g, a, x, DEFAULT_QUAD_CONFIG, [0]) for x in xs]),
+            g.domain, f"I[{a}]({g.label})")
+    return g
 
 
 @given(
