@@ -25,7 +25,7 @@ from .fixedpoint import IterationDomainError, newton
 from .funcspace import DEFAULT_QUAD_CONFIG, QuadratureConfig
 from .operators import UnsupportedDifferentiationError
 from .simplex import (
-    PARTITION_DIMENSIONS, MonteCarloConfig, SimplexSpec,
+    MIN_EXPECTED_PER_CELL, PARTITION_DIMENSIONS, MonteCarloConfig, SimplexSpec,
     ordering_partition_check, simplex_volume_exact, simplex_volume_montecarlo,
 )
 from .taylor import evaluate_polynomial, expand, remainder_routes
@@ -303,7 +303,8 @@ def cmd_simplex(args) -> int:
         "chi_square": None, "chi_square_threshold": None,
         "max_cell_z": None, "partition_pass": None,
     }
-    if args.n in PARTITION_DIMENSIONS:
+    if (args.n in PARTITION_DIMENSIONS
+            and args.samples >= MIN_EXPECTED_PER_CELL * math.factorial(args.n)):
         partition = ordering_partition_check(args.n, mc)
         row.update({
             "classified": partition.classified,

@@ -7,10 +7,12 @@ The region of the n-fold iterated integral is the order cell
 the unit cube with the counter-based generator from `rng`, which makes
 every figure bit-reproducible from (seed, sample index) alone; samples
 with duplicate coordinates (the measure-zero cell boundaries) are
-discarded and counted, never tie-broken.  The tiling check indexes a
-sample's cell by the Lehmer rank of its descending argsort, and audits
+discarded and counted, never tie-broken.  The tiling check sorts no
+row: it compares the n(n-1)/2 coordinate pairs, indexes a sample's cell by
+the Lehmer rank that the pairwise "less than" counts spell out, and audits
 exactly-once membership row by row: a row lies in exactly one of the n!
-non-strict chain cells iff it is strictly decreasing in argsort order.
+non-strict chain cells iff its counts of smaller coordinates are a
+permutation of 0..n-1.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ _CHUNK_SAMPLES = 1 << 18
 PARTITION_DIMENSIONS = range(2, 7)  # the n the partition check runs at
 
 CHI_SQUARE_CONFIDENCE = 0.999
+
+MIN_EXPECTED_PER_CELL = 5  # Cochran's rule: the chi-square test needs this many
 
 
 @dataclass(frozen=True)
@@ -128,31 +132,37 @@ def partition_counts(u: np.ndarray) -> tuple[np.ndarray, int, bool]:
     """Classify the rows of a sample matrix into order cells.
 
     Returns (counts aligned with sorted permutations, number of discarded
-    duplicate-coordinate rows, exclusivity flag).  A kept row's cell is the
-    Lehmer rank of its descending argsort p, sum_i #{j > i : p[j] < p[i]} *
-    (n-1-i)!, which is p's index among the sorted permutations.  The flag
-    audits every row in O(n): in argsort order it is strictly decreasing
-    iff it satisfies exactly one of the n! non-strict chain predicates, and
-    that must hold for precisely the rows the `np.sort` duplicate test keeps.
+    duplicate-coordinate rows, exclusivity flag).  No row is sorted: one
+    pass over the n(n-1)/2 column pairs counts below_k = #{j : u_j < u_k}
+    and digit_k = #{j < k : u_j < u_k}, and a row with an `==` pair is a
+    duplicate.  A kept row's cell is sum_k digit_k * below_k!, the Lehmer
+    rank of its descending argsort (u_k sits at position n-1-below_k, with
+    Lehmer digit digit_k), which is the cell's index among the sorted
+    permutations.  The flag audits every row: it satisfies exactly one of
+    the n! non-strict chain predicates iff its below counts are a
+    permutation of 0..n-1, and that must hold for precisely the rows kept.
     """
-    u = np.asarray(u, dtype=float)
-    n = u.shape[1]
-    srt = np.sort(u, axis=1)
-    dup = np.any(srt[:, 1:] == srt[:, :-1], axis=1)
-    del srt
-    order = np.argsort(-u, axis=1, kind="stable")
-    chain = np.take_along_axis(u, order, axis=1)
-    strict = np.all(chain[:, :-1] > chain[:, 1:], axis=1)
-    exactly_once = bool(np.array_equal(strict, ~dup))
-    del chain
+    cols = np.asarray(u, dtype=float).T.copy()  # one contiguous row per coordinate
+    n, m = cols.shape
+    below = np.zeros((n, m), dtype=np.uint8)
+    digit = np.zeros((n, m), dtype=np.uint8)
+    dup = np.zeros(m, dtype=bool)
+    for k in range(1, n):
+        for j in range(k):
+            digit[k] += cols[j] < cols[k]
+            below[j] += cols[k] < cols[j]
+            dup |= cols[j] == cols[k]
+    below += digit
 
-    # one contiguous row per argsort position; positions below 128 fit in int8
-    kept = np.ascontiguousarray(order[~dup].T, dtype=np.int8)
-    rank = np.zeros(kept.shape[1], dtype=np.int64)
-    for i in range(n - 1):
-        later_smaller = np.count_nonzero(kept[i + 1:] < kept[i], axis=0)
-        rank += later_smaller * math.factorial(n - 1 - i)
-    counts = np.bincount(rank, minlength=math.factorial(n)).astype(np.int64)
+    # ranks stay below 6! and the audit's bits below 2**6
+    weight = np.array([math.factorial(i) for i in range(n)], dtype=np.uint16)
+    rank = np.zeros(m, dtype=np.uint16)
+    seen = np.zeros(m, dtype=np.uint8)
+    for k in range(n):
+        rank += digit[k] * weight[below[k]]
+        seen |= np.left_shift(np.uint8(1), below[k])
+    exactly_once = bool(np.array_equal(seen == (1 << n) - 1, ~dup))
+    counts = np.bincount(rank[~dup], minlength=math.factorial(n)).astype(np.int64)
     return counts, int(dup.sum()), exactly_once
 
 
@@ -233,14 +243,15 @@ def remainder_by_slicing(t: TaylorExpansion, x: float,
         return 0.0
     deriv = t.derivative_exprs[-1]
 
-    if x > a:
-        sign, volume = 1.0, lambda s: sliced_simplex_volume(order, s, a, x)
-    else:
-        # mirrored slice: (x-s)^N = (-1)^N * Vol{x <= t_N <= ... <= t_1 <= s}
-        sign, volume = (-1.0) ** order, lambda s: sliced_simplex_volume(order, x, x, s)
+    # the slice with floor s has volume |x-s|^N/N!; for x < a it is the mirrored
+    # slice {x <= t_N <= ... <= t_1 <= s}, and (x-s)^N = (-1)^N |x-s|^N
+    sign = 1.0 if x > a else (-1.0) ** order
+    scale = math.factorial(order)
 
     def kernel(ts: np.ndarray) -> np.ndarray:
-        vols = np.array([volume(float(s)) for s in ts])
+        # Python float powers, as `sliced_simplex_volume` takes them: numpy's
+        # power moves last bits from order 2 on
+        vols = np.array([abs(x - s) ** order for s in ts.tolist()]) / scale
         return sign * evaluate_array(deriv, ts) * vols
 
     integrand = from_callable(kernel, span_interval(a, x),

@@ -297,6 +297,28 @@ def test_simplex_unsampled_cell_is_numeric_failure(capsys):
     assert "--samples" in err
 
 
+_PARTITION_FIELDS = ("classified", "discarded_duplicates", "chi_square",
+                     "chi_square_threshold", "max_cell_z", "partition_pass")
+
+
+@pytest.mark.parametrize("n,samples,runs", [
+    (2, 3, False), (6, 1000, False),    # 1.5 and 1.4 expected per cell
+    (2, 10, True), (6, 3600, True),     # exactly 5 per cell
+])
+def test_simplex_partition_needs_five_expected_per_cell(capsys, n, samples, runs):
+    # at seed 1 the Monte Carlo hits the cell even at n=6 with 1,000 samples
+    code, out, _ = run_main(capsys, "simplex", "--n", str(n), "--samples", str(samples),
+                            "--seed", "1")
+    assert code == 0
+    row = parse_json(out)["rows"][0]
+    assert row["estimate"] is not None
+    if runs:
+        assert row["classified"] + row["discarded_duplicates"] == samples
+        assert all(row[k] is not None for k in _PARTITION_FIELDS)
+    else:
+        assert all(row[k] is None for k in _PARTITION_FIELDS)
+
+
 def test_simplex_dimension_guard(capsys):
     code, _, err = run_main(capsys, "simplex", "--n", "13")
     assert code == 2

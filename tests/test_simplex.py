@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opcalc import simplex as sx
-from opcalc.expr import parse
+from opcalc.expr import evaluate_array, parse
+from opcalc.funcspace import from_callable, integrate, span_interval
 from opcalc.simplex import (
     MonteCarloConfig, SimplexSpec, chi_square_threshold, ordering_partition_check,
     partition_counts, remainder_by_slicing, simplex_volume_exact,
@@ -196,7 +198,8 @@ def test_partition_counts_matches_scalar_key():
     assert list(counts) == [manual[p] for p in perms]
 
 
-_TIE_PRONE = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]),
+_TIE_PRONE = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, math.inf, -math.inf,
+                                        5e-324, -5e-324]),
                        st.floats(allow_nan=False))
 
 
@@ -204,7 +207,8 @@ _TIE_PRONE = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]),
 @settings(max_examples=150, deadline=None)
 def test_partition_counts_equal_brute_force_reference(n, data):
     row = st.one_of(st.lists(_TIE_PRONE, min_size=n, max_size=n),
-                    _TIE_PRONE.map(lambda v: [v] * n))
+                    _TIE_PRONE.map(lambda v: [v] * n),
+                    st.permutations([float(v) for v in range(n)]))
     u = np.array(data.draw(st.lists(row, min_size=1, max_size=40)), dtype=float)
     counts, discarded, exactly_once = partition_counts(u)
     ref_counts, ref_discarded, ref_exactly_once = reference_partition(u)
@@ -242,8 +246,9 @@ def test_tied_row_satisfies_product_of_factorials_predicates(row, groups):
 def test_partition_counts_nan_row_is_not_exactly_once():
     # a NaN coordinate satisfies no chain predicate, yet is no duplicate
     u = np.array([[0.9, 0.5, 0.1], [0.9, math.nan, 0.1]])
-    _, discarded, exactly_once = partition_counts(u)
+    counts, discarded, exactly_once = partition_counts(u)
     assert discarded == 0
+    assert counts.sum() + discarded == len(u)
     assert not exactly_once
     assert chain_matches(u).tolist() == [1, 0]
 
@@ -263,6 +268,17 @@ def test_partition_check_two_cells_sum_to_one():
     freqs = [c / report.classified for c in report.cell_counts]
     assert sum(freqs) == 1.0
     assert report.passed
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_partition_check_chunking_invariant(monkeypatch, n):
+    # three chunks of 1024 and a partial one must merge to the one-chunk report
+    cfg = MonteCarloConfig(3 * 1024 + 517, seed=7)
+    whole = ordering_partition_check(n, cfg)
+    monkeypatch.setattr(sx, "_CHUNK_SAMPLES", 1024)
+    chunked = ordering_partition_check(n, cfg)
+    for field in dataclasses.fields(whole):
+        assert getattr(chunked, field.name) == getattr(whole, field.name), field.name
 
 
 def test_partition_check_dimension_guard():
@@ -359,6 +375,29 @@ def test_slicing_consistency_with_exact(text, a, order):
         sliced = remainder_by_slicing(t, x)
         exact = remainder_exact(t, x)
         assert abs(sliced - exact) <= 1e-8
+
+
+def reference_slicing(t, x):
+    """The sliced route with one `sliced_simplex_volume` call per node."""
+    a, order, deriv = t.base, t.order, t.derivative_exprs[-1]
+    if x > a:
+        sign, volume = 1.0, lambda s: sliced_simplex_volume(order, s, a, x)
+    else:
+        sign, volume = (-1.0) ** order, lambda s: sliced_simplex_volume(order, x, x, s)
+
+    def kernel(ts):
+        return sign * evaluate_array(deriv, ts) * np.array([volume(float(s)) for s in ts])
+
+    return integrate(from_callable(kernel, span_interval(a, x), "reference"), a, x)
+
+
+@pytest.mark.parametrize("text", ["exp(x)", "ln(1+x)", "sin(3*x)+x^2"])
+def test_remainder_by_slicing_matches_per_node_volumes_bit_for_bit(text):
+    # numpy's power in place of Python's moves last bits from order 2 on
+    for order in range(13):
+        t = expand(parse(text), 0.1, order)
+        for x in (0.93, -0.57):
+            assert remainder_by_slicing(t, x) == reference_slicing(t, x), (order, x)
 
 
 def test_slicing_handles_x_below_base():
