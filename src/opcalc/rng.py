@@ -1,11 +1,13 @@
 """Counter-based pseudo-random numbers for reproducible Monte Carlo.
 
 The generator is splitmix64 used in counter mode: output i is a pure
-function of (seed, i), namely the splitmix64 finalizer applied to
-seed + (i+1)*GAMMA mod 2^64.  This matches the stream produced by the
-sequential splitmix64 generator seeded with `seed`, and because each
-output depends only on its counter, a sample range can be partitioned
-into disjoint blocks across workers and merged bit-identically.
+function of (seed, i), namely the splitmix64 finalizer applied to the state
+seed + (i+1)*GAMMA mod 2^64; one finalizer, `mix_in_place`, mixes arrays of
+states in place, by default to the top 53 bits k of the uniform k * 2^-53.
+This matches the stream produced by the sequential splitmix64 generator
+seeded with `seed`, and because each output depends only on its counter, a
+sample range can be partitioned into disjoint blocks across workers and
+merged bit-identically.
 
 Constants are the published splitmix64 parameters (golden-ratio gamma
 and the two finalizer multipliers).
@@ -36,17 +38,29 @@ def uniform01(seed: int, counter: int) -> float:
     return (splitmix64(seed, counter) >> 11) * _INV_2_53
 
 
+def mix_in_place(z: np.ndarray, scratch: np.ndarray, shift: int = 11) -> np.ndarray:
+    """The splitmix64 finalizer of the uint64 states z, shifted right by
+    `shift` bits, written over z; `scratch` is a uint64 buffer of z's shape."""
+    for bits, mult in ((30, MIX_MULT_1), (27, MIX_MULT_2)):
+        np.right_shift(z, np.uint64(bits), out=scratch)
+        z ^= scratch
+        z *= np.uint64(mult)
+    np.right_shift(z, np.uint64(31 + shift), out=scratch)  # (z ^ z>>31) >> shift
+    z >>= np.uint64(shift)
+    z ^= scratch
+    return z
+
+
+def state_of(seed: int, counter: int) -> np.uint64:
+    """The state seed + (counter+1)*GAMMA mod 2^64 that `mix_in_place` mixes."""
+    return np.uint64((seed + (counter + 1) * GAMMA) & MASK64)
+
+
 def splitmix64_at(seed: int, counters) -> np.ndarray:
     """Vectorized outputs (uint64) for an array of counter positions."""
-    z = np.asarray(counters, dtype=np.uint64) + np.uint64(1)   # a copy: counters stay intact
-    z *= np.uint64(GAMMA)
-    z += np.uint64(seed)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(MIX_MULT_1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(MIX_MULT_2)
-    z ^= z >> np.uint64(31)
-    return z
+    z = np.asarray(counters, dtype=np.uint64) * np.uint64(GAMMA)   # a copy: counters stay intact
+    z += state_of(seed, 0)
+    return mix_in_place(z, np.empty_like(z), shift=0)
 
 
 def uniform01_at(seed: int, counters) -> np.ndarray:

@@ -27,12 +27,12 @@ from .expr import evaluate_array
 from .funcspace import (
     DEFAULT_QUAD_CONFIG, QuadratureConfig, from_callable, integrate, span_interval,
 )
-from .rng import uniform01_at, uniform01_block
+from .rng import GAMMA, MASK64, mix_in_place, state_of
 
 if TYPE_CHECKING:
     from .taylor import TaylorExpansion
 
-_CHUNK_SAMPLES = 1 << 18
+_CHUNK_SAMPLES = 1 << 15  # 256 KiB per uint64 buffer, well inside L2
 
 PARTITION_DIMENSIONS = range(2, 7)  # the n the partition check runs at
 
@@ -101,21 +101,28 @@ def simplex_volume_montecarlo(s: SimplexSpec, cfg: MonteCarloConfig) -> MonteCar
     i is a pure function of (seed, i), and only integer hit counts are
     merged across chunks.  Coordinate j of sample i is counter i*n + j,
     drawn only while coordinates 0..j-1 are non-increasing (column 0 holds
-    t_1, the largest), so a sample costs about e draws instead of n.
+    t_1, the largest), so a sample costs about e draws instead of n.  Draws
+    are compared as their 53-bit integers, in buffers allocated once.
     """
     n = s.dimension
+    ramp = np.arange(min(_CHUNK_SAMPLES, cfg.samples), dtype=np.uint64)
+    ramp *= np.uint64(n * GAMMA & MASK64)  # ramp[i] + state of counter c = state of c + i*n
+    state, kept, prev, cur, scratch = (np.empty_like(ramp) for _ in range(5))
     hits = 0
-    done = 0
-    while done < cfg.samples:
-        m = min(_CHUNK_SAMPLES, cfg.samples - done)
-        counters = np.arange(done, done + m, dtype=np.uint64) * np.uint64(n)
-        prev = uniform01_at(cfg.seed, counters)
-        for j in range(1, n):
-            cur = uniform01_at(cfg.seed, counters + j)
-            alive = np.flatnonzero(prev >= cur)
-            counters, prev = counters[alive], cur[alive]
-        hits += counters.size
-        done += m
+    for first in range(0, cfg.samples, ramp.size):
+        k = min(ramp.size, cfg.samples - first)
+        np.add(ramp[:k], state_of(cfg.seed, first * n), out=state[:k])  # coordinate 0
+        prev[:k] = state[:k]
+        mix_in_place(prev[:k], scratch[:k])
+        for j in range(1, n):  # coordinate j's state is coordinate 0's plus j*GAMMA
+            np.add(state[:k], np.uint64(j * GAMMA & MASK64), out=cur[:k])
+            mix_in_place(cur[:k], scratch[:k])
+            alive = np.flatnonzero(prev[:k] >= cur[:k])
+            k = alive.size
+            np.take(state, alive, out=kept[:k], mode="clip")
+            np.take(cur, alive, out=prev[:k], mode="clip")
+            state, kept = kept, state
+        hits += k
     p = hits / cfg.samples
     scale = (s.x - s.a) ** n
     return MonteCarloVolume(
@@ -129,20 +136,23 @@ def simplex_volume_montecarlo(s: SimplexSpec, cfg: MonteCarloConfig) -> MonteCar
 # ---------------------------------------------------------------------------
 
 def partition_counts(u: np.ndarray) -> tuple[np.ndarray, int, bool]:
-    """Classify the rows of a sample matrix into order cells.
+    """Classify the rows of a float sample matrix into order cells."""
+    return _classify_columns(np.asarray(u, dtype=float).T)
 
-    Returns (counts aligned with sorted permutations, number of discarded
-    duplicate-coordinate rows, exclusivity flag).  No row is sorted: one
-    pass over the n(n-1)/2 column pairs counts below_k = #{j : u_j < u_k}
-    and digit_k = #{j < k : u_j < u_k}, and a row with an `==` pair is a
-    duplicate.  A kept row's cell is sum_k digit_k * below_k!, the Lehmer
-    rank of its descending argsort (u_k sits at position n-1-below_k, with
-    Lehmer digit digit_k), which is the cell's index among the sorted
-    permutations.  The flag audits every row: it satisfies exactly one of
-    the n! non-strict chain predicates iff its below counts are a
-    permutation of 0..n-1, and that must hold for precisely the rows kept.
+
+def _classify_columns(cols: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    """Classify the samples whose coordinate j is row cols[j] into order
+    cells: returns (counts aligned with sorted permutations, number of
+    discarded duplicate-coordinate samples, exclusivity flag).  No sample is
+    sorted: one pass over the n(n-1)/2 row pairs counts below_k =
+    #{j : u_j < u_k} and digit_k = #{j < k : u_j < u_k}; an `==` pair marks
+    a duplicate.  A kept sample's cell is sum_k digit_k * below_k!, the
+    Lehmer rank of its descending argsort (u_k sits at position
+    n-1-below_k, with Lehmer digit digit_k), its index among the sorted
+    permutations.  The flag audits every sample: it satisfies exactly one
+    of the n! non-strict chain predicates iff its below counts are a
+    permutation of 0..n-1, which must hold for precisely the samples kept.
     """
-    cols = np.asarray(u, dtype=float).T.copy()  # one contiguous row per coordinate
     n, m = cols.shape
     below = np.zeros((n, m), dtype=np.uint8)
     digit = np.zeros((n, m), dtype=np.uint8)
@@ -181,15 +191,19 @@ def ordering_partition_check(n: int, cfg: MonteCarloConfig) -> PartitionReport:
     counts = np.zeros(cells, dtype=np.int64)
     discarded = 0
     exactly_once = True
-    done = 0
-    while done < cfg.samples:
-        m = min(_CHUNK_SAMPLES, cfg.samples - done)
-        u = uniform01_block(cfg.seed, done * n, m * n).reshape(m, n)
-        c, d, ok = partition_counts(u)
+    ramp = np.arange(min(_CHUNK_SAMPLES, cfg.samples), dtype=np.uint64)
+    ramp *= np.uint64(n * GAMMA & MASK64)
+    block = np.empty((n, ramp.size), dtype=np.uint64)  # coordinate j in row j
+    scratch = np.empty_like(ramp)
+    for first in range(0, cfg.samples, ramp.size):
+        m = min(ramp.size, cfg.samples - first)
+        for j in range(n):
+            np.add(ramp[:m], state_of(cfg.seed, first * n + j), out=block[j, :m])
+            mix_in_place(block[j, :m], scratch[:m])
+        c, d, ok = _classify_columns(block[:, :m])
         counts += c
         discarded += d
         exactly_once = exactly_once and ok
-        done += m
 
     classified = int(counts.sum())
     tally_ok = classified + discarded == cfg.samples

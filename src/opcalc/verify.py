@@ -364,12 +364,14 @@ def suite_simplex(cfg: VerifyConfig) -> list[CheckReport]:
         details={"classified": partition.classified,
                  "discarded": partition.discarded_duplicates},
     ))
+    cells = len(partition.cell_counts)  # below Cochran's rule no test runs, none passes
+    runs = partition.total_samples >= sx.MIN_EXPECTED_PER_CELL * cells
     reports.append(CheckReport(
         name="simplex.equal_cell_volumes",
-        passed=partition.chi_square <= partition.chi_square_threshold,
+        passed=runs and partition.chi_square <= partition.chi_square_threshold,
         measured_gap=partition.chi_square,
         threshold=partition.chi_square_threshold,
-        details={"cells": len(partition.cell_counts)},
+        details={"cells": cells},
     ))
 
     pool = default_pool()

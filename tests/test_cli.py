@@ -409,6 +409,18 @@ def test_verify_perturbation_fails_basis(capsys):
     assert "operators.basis_closed_form" in err
 
 
+def test_verify_chi_square_below_five_expected_per_cell_does_not_pass(capsys):
+    # 10 samples over the 6 cells of n = 3: the chi-square test cannot run
+    code, out, err = run_main(capsys, "verify", "--suite", "simplex", "--samples", "10")
+    assert code == 1
+    verdict = {inv["name"]: inv["pass"] for inv in parse_json(out)["invariants"]}
+    assert verdict["simplex.equal_cell_volumes"] is False
+    assert "simplex.equal_cell_volumes" in err
+    code, out, _ = run_main(capsys, "verify", "--suite", "simplex", "--samples", "30")
+    verdict = {inv["name"]: inv["pass"] for inv in parse_json(out)["invariants"]}
+    assert verdict["simplex.equal_cell_volumes"] is True
+
+
 def test_verify_finite_difference_skips_points_near_a_singularity(capsys):
     # this seed draws x = -0.99995 for ln(1+x), a step from its singularity
     code, out, _ = run_main(capsys, "verify", "--seed", "51563480", "--suite", "expr")

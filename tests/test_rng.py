@@ -1,8 +1,12 @@
+import hashlib
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from opcalc.rng import (
-    CounterStream, splitmix64, splitmix64_at, uniform01, uniform01_at, uniform01_block,
+    GAMMA, MASK64, CounterStream, mix_in_place, splitmix64, splitmix64_at, state_of,
+    uniform01, uniform01_at, uniform01_block,
 )
 
 # Published splitmix64 stream for seed 0 (first three sequential outputs).
@@ -73,3 +77,40 @@ def test_distinct_seeds_give_distinct_streams():
     a = splitmix64_at(1, np.arange(32))
     b = splitmix64_at(2, np.arange(32))
     assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 2024, (1 << 64) - 1])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_in_place_finalizer_equals_scalar_at_matrix_counters(seed, n):
+    # states of counters i*n + j as the kernels build them: a ramp of
+    # i*(n*GAMMA) plus the state of counter first*n + j; i*n*GAMMA wraps mod 2^64
+    first, count = (1 << 40) + 3, 40
+    ramp = np.arange(count, dtype=np.uint64) * np.uint64(n * GAMMA & MASK64)
+    scratch = np.empty_like(ramp)
+    assert first * n * GAMMA > MASK64
+    for j in range(n):
+        expected = [splitmix64(seed, (first + i) * n + j) for i in range(count)]
+        full = mix_in_place(ramp + state_of(seed, first * n + j), scratch, shift=0)
+        assert [int(v) for v in full] == expected
+        top = mix_in_place(ramp + state_of(seed, first * n + j), scratch)
+        assert [int(v) for v in top] == [v >> 11 for v in expected]
+
+
+def test_state_of_is_the_scalar_state():
+    for seed, counter in ((0, 0), (2024, 17), ((1 << 64) - 1, 1 << 50)):
+        assert int(state_of(seed, counter)) == (seed + (counter + 1) * GAMMA) & MASK64
+
+
+@pytest.mark.parametrize("seed, digests", [
+    (0, ("8e7fc5cebcd73649", "71741c17b4dac14c", "d07ca7802235d611")),
+    (2024, ("7d4e39c34dd97e83", "a6b1f8633f60fa0c", "00fbf922678c7845")),
+    ((1 << 64) - 1, ("2085eb2f2e909560", "4b3e1bb326f1b5a9", "a2b01c2bfa88615f")),
+])
+def test_array_wrappers_keep_their_bits(seed, digests):
+    # sha256 prefixes of the outputs of the three array draws, pinned from
+    # the implementation that finalized each array with fresh temporaries
+    counters = np.arange(3000, dtype=np.uint64) * np.uint64(7919) + np.uint64(1 << 40)
+    outputs = (splitmix64_at(seed, counters), uniform01_at(seed, counters),
+               uniform01_block(seed, 5, 3000))
+    assert tuple(hashlib.sha256(out.tobytes()).hexdigest()[:16]
+                 for out in outputs) == digests

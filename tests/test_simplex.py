@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from opcalc import simplex as sx
 from opcalc.expr import evaluate_array, parse
 from opcalc.funcspace import from_callable, integrate, span_interval
 from opcalc.simplex import (
-    MonteCarloConfig, SimplexSpec, chi_square_threshold, ordering_partition_check,
+    PARTITION_DIMENSIONS, MonteCarloConfig, SimplexSpec, chi_square_threshold, ordering_partition_check,
     partition_counts, remainder_by_slicing, simplex_volume_exact,
     simplex_volume_montecarlo, sliced_simplex_volume,
 )
@@ -153,6 +154,14 @@ def test_montecarlo_hits_equal_full_matrix_reference(n):
     assert est == hits / samples
 
 
+def test_montecarlo_hit_counts_pinned():
+    # the stream at seed 2024, pinned: hit counts of the volume Monte Carlo
+    for n, samples, hits in ((3, 1_000_000, 167_155), (8, 2_000_000, 47)):
+        est, _ = simplex_volume_montecarlo(SimplexSpec(n, 0.0, 1.0),
+                                           MonteCarloConfig(samples, 2024))
+        assert est == hits / samples
+
+
 def test_montecarlo_scaled_interval():
     spec = SimplexSpec(2, 1.0, 3.0)
     est, se = simplex_volume_montecarlo(spec, MonteCarloConfig(500_000, seed=3))
@@ -279,6 +288,46 @@ def test_partition_check_chunking_invariant(monkeypatch, n):
     chunked = ordering_partition_check(n, cfg)
     for field in dataclasses.fields(whole):
         assert getattr(chunked, field.name) == getattr(whole, field.name), field.name
+
+
+def test_partition_check_cell_counts_pinned():
+    report = ordering_partition_check(3, MonteCarloConfig(600_000, 2024))
+    assert report.cell_counts == (100350, 99851, 100603, 100109, 99132, 99955)
+    assert report.discarded_duplicates == 0
+
+
+@pytest.mark.parametrize("n", PARTITION_DIMENSIONS)
+def test_partition_check_integer_columns_equal_float_matrix(n):
+    # the 53-bit integer column blocks against partition_counts of the float
+    # sample matrix, across a chunk edge
+    samples, seed = sx._CHUNK_SAMPLES + 3, 2024
+    report = ordering_partition_check(n, MonteCarloConfig(samples, seed))
+    counts, discarded, exactly_once = partition_counts(
+        uniform01_block(seed, 0, samples * n).reshape(samples, n))
+    assert report.cell_counts == tuple(int(c) for c in counts)
+    assert report.discarded_duplicates == discarded
+    assert report.all_exactly_once == exactly_once
+
+
+def peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernels_allocate_bounded_memory():
+    # chunk-sized buffers only: with 2^18-sample chunks and fresh temporaries
+    # per draw these peaked at 10 and 24 MiB; warm up first, so that the
+    # scipy.special import is not counted
+    volume = SimplexSpec(8, 0.0, 1.0), MonteCarloConfig(2_000_000, 2024)
+    tiling = 3, MonteCarloConfig(600_000, 2024)
+    simplex_volume_montecarlo(volume[0], MonteCarloConfig(10, 1))
+    ordering_partition_check(3, MonteCarloConfig(10, 1))
+    assert peak_bytes(simplex_volume_montecarlo, *volume) < 4 << 20
+    assert peak_bytes(ordering_partition_check, *tiling) < 4 << 20
 
 
 def test_partition_check_dimension_guard():
