@@ -2,9 +2,10 @@
 operators, with every identity in the construction verified numerically.
 
 The expansion engine repeatedly substitutes f = f(a)*1 + I_a(D f) into its
-own residual term; the remainder is then evaluated four independent ways
-(directly, as a single weighted integral, as literally nested integrals,
-and through simplex slice volumes) and bounded through the sup norm.
+own residual term; the remainder is then evaluated four ways (directly,
+as a single weighted integral, as literally nested integrals, and as the
+same weighted integral with simplex slice volumes for its kernel) and
+bounded through the sup norm.
 """
 
 from .expr import (

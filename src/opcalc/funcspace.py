@@ -15,11 +15,11 @@ import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
-from .expr import Expr, add, brief, const, evaluate, evaluate_array, mul
+from .expr import DomainError, Expr, add, brief, const, evaluate, evaluate_array, mul
 
 
 class ToleranceNotMetError(ArithmeticError):
@@ -97,17 +97,6 @@ class ExprSource:
     expr: Expr
 
 
-class OneSource:
-    """Marker for the constant function 1."""
-
-    _instance: Optional["OneSource"] = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-
 @dataclass(frozen=True)
 class NestSource:
     """I_base^depth integrand, depth >= 1, computed by the quadrature engine."""
@@ -122,7 +111,7 @@ class ClosureSource:
     fn: Callable[[np.ndarray], np.ndarray]  # maps an array of points to values
 
 
-Source = Union[ExprSource, OneSource, NestSource, ClosureSource]
+Source = Union[ExprSource, NestSource, ClosureSource]
 
 
 @dataclass(frozen=True)
@@ -137,8 +126,6 @@ class RealFunction:
         s = self.source
         if isinstance(s, ExprSource):
             return evaluate(s.expr, x)
-        if isinstance(s, OneSource):
-            return 1.0
         if isinstance(s, NestSource):
             return float(self.eval_array(np.array([float(x)]))[0])
         return float(s.fn(np.array([float(x)]))[0])
@@ -148,21 +135,17 @@ class RealFunction:
         xs = np.asarray(xs, dtype=float)
         if isinstance(s, ExprSource):
             return evaluate_array(s.expr, xs)
-        if isinstance(s, OneSource):
-            return np.ones_like(xs)
         if isinstance(s, NestSource):
             return _nest_many(s.integrand, s.depth, s.base, xs, s.cfg)
         return np.asarray(s.fn(xs), dtype=float)
 
     def is_expr_backed(self) -> bool:
-        return isinstance(self.source, (ExprSource, OneSource))
+        return isinstance(self.source, ExprSource)
 
     def as_expr(self) -> Expr:
         s = self.source
         if isinstance(s, ExprSource):
             return s.expr
-        if isinstance(s, OneSource):
-            return const(1.0)
         raise ValueError(f"function '{self.label}' has no symbolic backing")
 
 
@@ -172,7 +155,7 @@ def from_expr(e: Expr, domain: Interval, label: str | None = None) -> RealFuncti
 
 def constant_one(iv: Interval) -> RealFunction:
     """The constant function 1 on the interval."""
-    return RealFunction(OneSource(), iv, "1")
+    return from_expr(const(1.0), iv, "1")
 
 
 def from_callable(fn: Callable[[np.ndarray], np.ndarray], domain: Interval,
@@ -294,43 +277,39 @@ def _nest(vals: np.ndarray, half: np.ndarray, depth: int) -> np.ndarray:
     return (half[:, :, 0] * np.vecdot(vals, rule[-1])).cumsum(axis=1)[:, -1]
 
 
-def _adapt(g: RealFunction, depth: int, start: np.ndarray, end: np.ndarray,
+def _adapt(feval, depth: int, start: np.ndarray, end: np.ndarray,
            cfg: QuadratureConfig) -> np.ndarray:
-    """I^depth g from start[i] to end[i], for each point i.  Each point's
-    range starts as one panel, and panels split in two in lock-step rounds
-    of one rule call each.  A panel's error share is the sup of the nest's
-    kernel on the range times the panel's length times its Legendre tail.
-    A point is done once its shares add up to within its budget; until
-    then a panel splits while its share is over both its own budget
-    (halved per split) and the float floor.  The depth levels then run
-    once over each point's panels, in order from start."""
-    def feval(ts: np.ndarray) -> np.ndarray:
-        if ts.size <= _PASS_NODES:
-            return g.eval_array(ts)
-        return np.concatenate([g.eval_array(ts[i:i + _PASS_NODES])
-                               for i in range(0, ts.size, _PASS_NODES)])
-
-    if depth > 1:  # (x - s)^(depth-1) / (depth-1)!, the kernel of I^depth, is at most this
-        reach = np.abs(end - start) ** (depth - 1) / math.factorial(depth - 1)
+    """I^depth of an integrand from start[i] to end[i], for each point i;
+    feval(ts, owner) is the integrand at nodes ts, node k serving point
+    owner[k].  Each point's range starts as one panel, and panels split in
+    two in lock-step rounds of one rule call each.  A panel's error share
+    is the sup of the nest's kernel on the range times the panel's length
+    times its Legendre tail.  A point is done once its shares add up to
+    within its budget; until then a panel splits while its share is over
+    both its own budget (halved per split) and the float floor.  The depth
+    levels then run once over each point's panels, in order from start."""
+    _, rule, _ = _spectral_rule()
+    # (x - s)^(depth-1) / (depth-1)!, the kernel of I^depth, is at most this
+    reach = np.abs(end - start) ** (depth - 1) / math.factorial(depth - 1)
 
     def sample(owner, lo, hi):  # panels' integrand values and error shares
-        vals, tail = PANEL_RULES["gl16"](feval, lo, hi)
-        width = np.abs(hi - lo)
-        return vals, (width if depth == 1 else reach[owner] * width) * tail
+        who = owner.repeat(_NODES)  # the point each node serves
+
+        def passes(ts):  # at most _PASS_NODES nodes per integrand call
+            return np.concatenate([feval(ts[i:i + _PASS_NODES], who[i:i + _PASS_NODES])
+                                   for i in range(0, ts.size, _PASS_NODES)])
+
+        vals, tail = PANEL_RULES["gl16"](passes, lo, hi)
+        return vals, reach[owner] * np.abs(hi - lo) * tail
 
     n = start.size
     owner, lo, hi = np.arange(n), start, end
     vals, err = sample(owner, lo, hi)
-    half = 0.5 * (hi - lo)
-    if depth == 1:
-        value = half * np.vecdot(vals, _spectral_rule()[1][-1])
-    else:
-        value = _nest(vals[:, None, :], half[:, None], depth)
+    value = _nest(vals[:, None, :], 0.5 * (hi - lo)[:, None], depth)
     if (err <= cfg.abs_tolerance).all():  # within every budget: one panel each is enough
         return value
     size = np.abs(value)
     allowed = np.fmax(cfg.abs_tolerance, cfg.rel_tolerance * size)  # per point
-    floor = 1e-15 * (1.0 + size)
     # the panel arrays hold each point's panels in order from start; a split
     # panel is replaced in place by its two halves
     live = np.ones(n, dtype=bool)  # panels not yet accepted
@@ -340,7 +319,11 @@ def _adapt(g: RealFunction, depth: int, start: np.ndarray, end: np.ndarray,
         # until then a live panel splits while its share is over both its
         # budget, halved per split, and the float floor, unless it is at
         # float resolution (a NaN share splits, and fails); the rest are
-        # accepted
+        # accepted.  The floor scales with the larger of the one-panel value
+        # and the sum of |panel integral| times the kernel's sup: one panel
+        # can underestimate a peaked integral by far
+        mass = np.abs(0.5 * (hi - lo) * np.vecdot(vals, rule[-1])) * reach[owner]
+        floor = 1e-15 * (1.0 + np.fmax(size, np.bincount(owner, weights=mass, minlength=n)))
         limit = np.fmax(allowed * 0.5 ** level, floor)
         limit[np.bincount(owner, weights=err, minlength=n) <= allowed] = np.inf
         split = live & ~(err <= limit[owner])
@@ -386,10 +369,11 @@ def _adapt(g: RealFunction, depth: int, start: np.ndarray, end: np.ndarray,
 
 
 def _nest_many(g: RealFunction, depth: int, a: float, xs,
-               cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG) -> np.ndarray:
-    """I_a^depth g at each x in xs, depth >= 1.  At depth 1 the panels tile
-    [min(a, x), max(a, x)] upwards and the sign is flipped where x < a, so
-    a single integral is exactly antisymmetric; deeper nests run from a."""
+               cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG, kernel=None) -> np.ndarray:
+    """I_a^depth of g, or of kernel(x, t) * g(t) if a kernel is given, at
+    each x in xs, depth >= 1.  At depth 1 the panels tile [min(a, x),
+    max(a, x)] upwards and the sign is flipped where x < a, so a single
+    integral is exactly antisymmetric; deeper nests run from a."""
     a = float(a)
     xs = np.asarray(xs, dtype=float)
     out = np.zeros(xs.shape)
@@ -399,19 +383,33 @@ def _nest_many(g: RealFunction, depth: int, a: float, xs,
     x = xs[live]
     lo, hi = float(x.min()), float(x.max())
     _check_range(g, min(a, lo), max(a, hi))
+
+    def feval(ts: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        if kernel is None:
+            return g.eval_array(ts)
+        with np.errstate(all="ignore"):
+            vals = kernel(x[owner], ts) * g.eval_array(ts)
+        bad = ~np.isfinite(vals)
+        if bad.any():  # as evaluate_array refuses
+            raise DomainError(g.label, float(ts[bad.nonzero()[0][0]]), "non-finite result")
+        return vals
+
     if depth > 1:
-        out[live] = _adapt(g, depth, np.full(x.size, a), x, cfg)
+        out[live] = _adapt(feval, depth, np.full(x.size, a), x, cfg)
     else:
-        value = _adapt(g, 1, np.minimum(x, a), np.maximum(x, a), cfg)
+        value = _adapt(feval, 1, np.minimum(x, a), np.maximum(x, a), cfg)
         out[live] = value if lo > a else np.where(x < a, -value, value)
     return out
 
 
 def integrate_many(f: RealFunction, a: float, xs,
-                   cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG) -> np.ndarray:
-    """Estimates of the integral of f from a to each x in xs: the engine at
-    depth 1, all points in lock-step rounds."""
-    return _nest_many(f, 1, a, xs, cfg)
+                   cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG,
+                   kernel=None) -> np.ndarray:
+    """Estimates of the integral of f from a to each x in xs, or, given a
+    weight kernel(x, t) that maps arrays of points and nodes to values, of
+    kernel(x, t) * f(t): the engine at depth 1, all points in lock-step
+    rounds."""
+    return _nest_many(f, 1, a, xs, cfg, kernel)
 
 
 def integrate(f: RealFunction, a: float, x: float,

@@ -23,9 +23,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .expr import evaluate_array
 from .funcspace import (
-    DEFAULT_QUAD_CONFIG, QuadratureConfig, from_callable, integrate, span_interval,
+    DEFAULT_QUAD_CONFIG, QuadratureConfig, from_expr, integrate_many, span_interval,
 )
 from .rng import GAMMA, MASK64, mix_in_place, state_of
 
@@ -245,29 +244,25 @@ def sliced_simplex_volume(order: int, t: float, a: float, x: float) -> float:
     return (x - t) ** order / math.factorial(order)
 
 
-def remainder_by_slicing(t: TaylorExpansion, x: float,
-                         cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG) -> float:
+def remainder_by_slicing(t: TaylorExpansion, x,
+                         cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG):
     """Remainder of the expansion t at x as the integral of f^(N+1)(s)
-    times the volume of the simplex slice with floor s; a third independent
-    remainder route."""
+    times the volume of the simplex slice with floor s, one weighted
+    funcspace.integrate_many call for every point.  x may be an array; a
+    scalar returns a float."""
     a = t.base
     order = t.order
-    x = float(x)
-    if x == a:
-        return 0.0
-    deriv = t.derivative_exprs[-1]
-
-    # the slice with floor s has volume |x-s|^N/N!; for x < a it is the mirrored
-    # slice {x <= t_N <= ... <= t_1 <= s}, and (x-s)^N = (-1)^N |x-s|^N
-    sign = 1.0 if x > a else (-1.0) ** order
     scale = math.factorial(order)
 
-    def kernel(ts: np.ndarray) -> np.ndarray:
+    def volumes(xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        # the slice with floor s has volume |x-s|^N/N!; for x < a it is the
+        # mirrored slice {x <= t_N <= ... <= t_1 <= s}, and (x-s)^N = (-1)^N |x-s|^N.
         # Python float powers, as `sliced_simplex_volume` takes them: numpy's
         # power moves last bits from order 2 on
-        vols = np.array([abs(x - s) ** order for s in ts.tolist()]) / scale
-        return sign * evaluate_array(deriv, ts) * vols
+        vols = np.array([abs(p - s) ** order for p, s in zip(xs.tolist(), ts.tolist())])
+        return np.where(xs > a, 1.0, (-1.0) ** order) * (vols / scale)
 
-    integrand = from_callable(kernel, span_interval(a, x),
-                              f"sliced remainder integrand N={order}")
-    return integrate(integrand, a, x, cfg)
+    deriv = from_expr(t.derivative_exprs[-1], span_interval(a, x),
+                      f"sliced remainder integrand N={order}")
+    values = integrate_many(deriv, a, np.atleast_1d(x), cfg, volumes)
+    return values if np.ndim(x) else float(values[0])

@@ -1,5 +1,5 @@
 """Taylor expansion built by iterating the FTOC substitution, and the
-remainder evaluated along four independent routes plus a bound.
+remainder evaluated along four routes plus a bound.
 
 The expansion never touches a closed-form coefficient rule: starting from
 the order -1 expansion, in which all of f is residual, each step substitutes
@@ -17,14 +17,13 @@ Remainder routes:
                   operators.iterated_integral
   sliced          f^(N+1) against simplex slice volumes (simplex.py)
   bound           sup|f^(N+1)| * |x-a|^(N+1)/(N+1)!
-The three integral routes run on funcspace's one quadrature engine (a single
-quadrature is its depth-1 case), each on an integrand of its own, so no
-route is computed from another.
-remainder_routes evaluates them all at many points, with each point's
-largest pairwise gap; that agreement is what the test suites certify.  The
-nested and bound routes take arrays of points: one iterated_integral
-evaluation for all of them, and one lock-step funcspace.sup_abs_many for all
-the sups.  The nested route runs while N+1 <= NESTED_MAX_DEPTH.
+The integral routes run on funcspace's one quadrature engine.  Exact and
+sliced are one weighted funcspace.integrate_many call that differ only in
+the kernel's arithmetic, so their agreement checks the kernels.
+remainder_routes evaluates all routes at many points, with each point's
+largest pairwise gap; that agreement is what the test suites certify.
+Every route takes an array of points x, and a scalar x returns a float;
+the nested route runs while N+1 <= NESTED_MAX_DEPTH.
 """
 
 from __future__ import annotations
@@ -35,8 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import (
-    Expr, const, differentiate, evaluate, mul, power, render, simplify, sub,
-    var,
+    Expr, brief, differentiate, evaluate, evaluate_array, render, simplify,
 )
 from .funcspace import (
     DEFAULT_QUAD_CONFIG, QuadratureConfig, from_callable, from_expr, integrate,
@@ -107,39 +105,42 @@ def expand(f: Expr, a: float, order: int) -> TaylorExpansion:
     return t
 
 
-def evaluate_polynomial(t: TaylorExpansion, x: float) -> float:
-    """P_N(x) via Horner in the shifted variable (x - base)."""
-    u = float(x) - t.base
-    acc = t.coefficients[t.order] / math.factorial(t.order)
+def evaluate_polynomial(t: TaylorExpansion, x):
+    """P_N(x) via Horner in the shifted variable (x - base).  x may be an
+    array; a scalar returns a float."""
+    u = np.asarray(x, dtype=float) - t.base
+    acc = np.full(u.shape, t.coefficients[t.order] / math.factorial(t.order))
     for n in range(t.order - 1, -1, -1):
         acc = t.coefficients[n] / math.factorial(n) + u * acc
-    return acc
+    return acc if acc.ndim else float(acc)
 
 
-def remainder_direct(t: TaylorExpansion, x: float) -> float:
-    return evaluate(t.source, x) - evaluate_polynomial(t, x)
+def remainder_direct(t: TaylorExpansion, x):
+    """f(x) - P_N(x).  x may be an array; a scalar returns a float."""
+    xs = np.atleast_1d(x)
+    values = evaluate_array(t.source, xs) - evaluate_polynomial(t, xs)
+    return values if np.ndim(x) else float(values[0])
 
 
-def remainder_exact(t: TaylorExpansion, x: float,
-                    cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG) -> float:
-    """Single quadrature of (x-t)^N/N! * f^(N+1)(t) from base to x."""
-    x = float(x)
-    a = t.base
-    if x == a:
-        return 0.0
+def remainder_exact(t: TaylorExpansion, x,
+                    cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG):
+    """Single quadrature of (x-s)^N/N! * f^(N+1)(s) from base to x, one
+    weighted funcspace.integrate_many call for every point.  x may be an
+    array; a scalar returns a float."""
     n = t.order
-    kernel = mul(const(1.0 / math.factorial(n)), power(sub(const(x), var()), float(n)))
-    integrand = mul(kernel, t.derivative_exprs[n + 1])
-    f = from_expr(integrand, span_interval(a, x),
-                  f"remainder integrand N={n} of {render(t.source)}")
-    return integrate(f, a, x, cfg)
+    c = 1.0 / math.factorial(n)
+    deriv = from_expr(t.residual_integrand(), span_interval(t.base, x),
+                      f"remainder integrand N={n} of {brief(t.source)}")
+    values = integrate_many(deriv, t.base, np.atleast_1d(x), cfg,
+                            lambda xs, ts: c * np.power(xs - ts, float(n)))
+    return values if np.ndim(x) else float(values[0])
 
 
 def remainder_nested(t: TaylorExpansion, x,
                      cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG):
     """The residual I_a^{N+1} f^(N+1) as N+1 literal applications of I_a
     (operators.iterated_integral), before any order exchange.  x may be an
-    array of points."""
+    array; a scalar returns a float."""
     n = t.order
     if n + 1 > NESTED_MAX_DEPTH:
         raise ValueError(f"nested remainder supports order+1 <= {NESTED_MAX_DEPTH}")
@@ -152,7 +153,7 @@ def remainder_bound(t: TaylorExpansion, x,
                     cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG):
     """sup |f^(N+1)| times |x-a|^(N+1)/(N+1)!: operators.monotone_bound on
     [min(a,x), max(a,x)], so x < a is the oriented extension of the bound.
-    x may be an array of points."""
+    x may be an array; a scalar returns a float."""
     a = t.base
     deriv = from_expr(t.residual_integrand(), span_interval(a, x))
     return monotone_bound(t.order + 1, deriv, np.minimum(a, x), np.maximum(a, x), cfg)
@@ -197,11 +198,11 @@ def remainder_routes(t: TaylorExpansion, points,
     rows = []
     for i in range(0, len(points), _ROUTE_CHUNK):
         xs = [float(x) for x in points[i:i + _ROUTE_CHUNK]]
-        direct = [remainder_direct(t, x) for x in xs]
-        exact = [remainder_exact(t, x, cfg) for x in xs]
+        direct = remainder_direct(t, xs).tolist()
+        exact = remainder_exact(t, xs, cfg).tolist()
         nested = (remainder_nested(t, xs, cfg).tolist()
                   if t.order + 1 <= NESTED_MAX_DEPTH else [None] * len(xs))
-        sliced = [remainder_by_slicing(t, x, cfg) for x in xs]
+        sliced = remainder_by_slicing(t, xs, cfg).tolist()
         bound = remainder_bound(t, xs, cfg).tolist()
         for x, d, e, n, s, b in zip(xs, direct, exact, nested, sliced, bound):
             values = [d, e, s] + ([n] if n is not None else [])

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -216,6 +217,29 @@ def test_remainder_domain_violation_exit_three(capsys):
                             "--n", "2", "--points", "-0.5")
     assert code == 3
     assert "numeric failure" in err
+
+
+def test_remainder_overflowing_kernel_is_a_domain_failure_without_warnings(capsys):
+    # (x-s)^12/12! overflows at x = 1e30, and times f^(13) = 0 it is NaN
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_main(capsys, "remainder", "--f", "x^5", "--a", "0",
+                                  "--n", "12", "--points", "1e30")
+    assert code == 3 and out == ""
+    assert "non-finite result" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_remainder_of_1_over_x_near_its_pole(capsys):
+    # one panel underestimates the integral of f^(3) = -6/x^4 on [0.001, 1]
+    # by far, so the float floor must follow the panels' summed integrals
+    code, out, err = run_main(capsys, "remainder", "--f", "1/x", "--a", "1",
+                              "--n", "2", "--points", "0.001")
+    assert code == 0, err
+    row = parse_json(out)["rows"][0]
+    assert row["direct"] == pytest.approx(997.002999, rel=1e-12)  # 1000 - P_2(0.001)
+    for key in ("exact_integral", "nested_integral", "sliced"):
+        assert abs(row[key] - row["direct"]) <= 1e-9 * abs(row["direct"]), key
 
 
 @pytest.mark.parametrize("text", ["x " + "1" * 5000, "y" * 5000])

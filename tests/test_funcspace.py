@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from opcalc import funcspace as fs
-from opcalc.expr import parse
+from opcalc.expr import DomainError, const, parse
 from opcalc.funcspace import (
     DEFAULT_QUAD_CONFIG, Interval, QuadratureConfig, ToleranceNotMetError,
     constant_one, from_callable, from_expr, integrate, integrate_many,
@@ -386,6 +386,9 @@ def test_integrate_additivity(i, a, c, x):
 def test_constant_one_examples():
     iv = Interval(0.0, 1.0)
     assert constant_one(iv)(0.37) == 1.0
+    assert constant_one(iv).eval_array(np.array([0.1, 0.9])).tolist() == [1.0, 1.0]
+    assert constant_one(iv).label == "1" and constant_one(iv).is_expr_backed()
+    assert constant_one(iv).as_expr() is const(1.0)
     assert integrate(constant_one(Interval(0.0, 2.0)), 0.0, 2.0) == pytest.approx(2.0, abs=TOL)
     assert sup_abs(constant_one(iv), iv) == 1.0
 
@@ -513,6 +516,19 @@ def test_integrate_many_empty_and_coincident_limits():
     f = f_of("exp(x)")
     assert integrate_many(f, 0.5, []).shape == (0,)
     assert integrate_many(f, 0.5, [0.5, 0.5]).tolist() == [0.0, 0.0]
+
+
+def test_integrate_many_weights_each_node_by_its_own_point():
+    # the integral of (x - t) * 1 from 0 to x is x^2 / 2, for x on either side
+    xs = np.array([0.5, -1.5, 0.0, 2.0, 0.5])
+    got = integrate_many(constant_one(IV), 0.0, xs, kernel=lambda x, t: x - t)
+    assert got == pytest.approx(xs ** 2 / 2, abs=TOL)
+
+
+def test_integrate_many_refuses_a_non_finite_weighted_integrand():
+    # exp overflows with the warning silenced, as evaluate_array does
+    with pytest.raises(DomainError, match="non-finite result"):
+        integrate_many(constant_one(IV), 0.0, [1.0, 2.0], kernel=lambda x, t: np.exp(1e3 * t))
 
 
 def test_integrate_many_rejects_limits_outside_domain():

@@ -7,14 +7,17 @@ import tracemalloc
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 
 from opcalc import taylor
 from opcalc.cli import main
+from opcalc import funcspace
 from opcalc.expr import (
-    const, differentiate, evaluate, parse, render, simplify, var,
+    const, differentiate, evaluate, mul, parse, power, render, simplify, sub,
+    var,
 )
-from opcalc.funcspace import DEFAULT_QUAD_CONFIG
+from opcalc.funcspace import DEFAULT_QUAD_CONFIG, from_expr, integrate, span_interval
 from opcalc.pool import default_pool
 from opcalc.simplex import remainder_by_slicing
 from opcalc.verify import _expr_corpus
@@ -299,6 +302,43 @@ def test_remainder_routes_rows_match_one_point_calls(monkeypatch, text, order):
         assert row["bound"].hex() == remainder_bound(t, x).hex()
         if order + 1 <= NESTED_MAX_DEPTH:
             assert row["nested_integral"].hex() == remainder_nested(t, x).hex()
+
+
+ARRAY_ROUTES = {"direct": remainder_direct, "exact": remainder_exact,
+                "sliced": remainder_by_slicing}
+
+
+@pytest.mark.parametrize("route", ARRAY_ROUTES.values(), ids=ARRAY_ROUTES)
+@pytest.mark.parametrize("points", [
+    [0.1, -0.4, 0.1, 0.75, -0.0, -0.9, 0.35],  # x == a, both sides of a, repeats
+    [-0.9 + 1.8 * k / 299 for k in range(300)],
+], ids=["mixed", "batch300"])
+def test_array_routes_match_one_point_calls_bit_for_bit(route, points):
+    # 300 points of 16 nodes each pass _PASS_NODES in the engine's first round
+    assert 300 * funcspace._NODES > funcspace._PASS_NODES
+    t = expand(parse("ln(1+x)"), 0.1, 3)
+    got = route(t, points)
+    assert isinstance(got, np.ndarray) and got.shape == (len(points),)
+    one = [route(t, x) for x in points]
+    assert all(type(v) is float for v in one)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in one]
+
+
+def reference_exact(t, x):
+    """The exact route as one expression integrand per point,
+    (1/N!)*(x-s)^N * f^(N+1)(s), evaluated by evaluate_array."""
+    n = t.order
+    kernel = mul(const(1.0 / math.factorial(n)), power(sub(const(x), var()), float(n)))
+    f = from_expr(mul(kernel, t.derivative_exprs[-1]), span_interval(t.base, x))
+    return integrate(f, t.base, x)
+
+
+@pytest.mark.parametrize("text", ["exp(x)", "ln(1+x)", "sin(3*x)+x^2"])
+def test_remainder_exact_matches_one_expression_integrand_bit_for_bit(text):
+    for order in range(13):
+        t = expand(parse(text), 0.1, order)
+        for x in (0.93, -0.57):
+            assert remainder_exact(t, x) == reference_exact(t, x), (order, x)
 
 
 def test_remainder_routes_memory_is_bounded_by_its_batches():
