@@ -538,10 +538,13 @@ def evaluate(e: Expr, x: float) -> float:
     return result
 
 
-def _refuse(bad: np.ndarray, node: Expr, xs: np.ndarray, reason: str) -> None:
-    """Raise DomainError at the first point where `bad` holds, if any."""
+def _refuse(bad: np.ndarray, node: Expr, xs: np.ndarray, reason: str, operand=None) -> None:
+    """Raise DomainError at the first point where `bad` holds, if any, the
+    reason naming the operand's value there if an operand is given."""
     if bad.any():
-        raise DomainError(brief(node), float(xs[np.nonzero(bad)[0][0]]), reason)
+        k = np.nonzero(bad)[0][0]
+        shown = "" if operand is None else f" {float(operand[k])}"
+        raise DomainError(brief(node), float(xs[k]), reason + shown)
 
 
 def _run_array(tape: tuple, xs: np.ndarray) -> np.ndarray:
@@ -550,7 +553,7 @@ def _run_array(tape: tuple, xs: np.ndarray) -> np.ndarray:
     for _, f, i, j, guards, ref, dead in tape:
         a = (v[i],) if j < 0 else (v[i], v[j])
         for g in guards:
-            _refuse(g.test(*a), ref(), xs, g.reason)
+            _refuse(g.test(*a), ref(), xs, g.reason, a[0] if g.shows_operand else None)
         push(f(*a))
         for q in dead:  # free each array after its last use
             v[q] = None

@@ -23,8 +23,9 @@ from .expr import DomainError, Expr, add, brief, const, evaluate, evaluate_array
 
 
 class ToleranceNotMetError(ArithmeticError):
-    """Quadrature stopped above the error budget; `limit` names what stopped
-    it: the subdivision depth, the panel cap or a NaN estimate."""
+    """Quadrature stopped above one point's error budget `requested`: its
+    panels' error shares sum to `achieved` on its range `interval`, and
+    `limit` names what stopped it, the panel cap or a NaN estimate."""
 
     def __init__(self, requested: float, achieved: float, interval: tuple, limit: str):
         self.requested = requested
@@ -72,15 +73,12 @@ class QuadratureConfig:
 
     abs_tolerance: float = 1e-10
     rel_tolerance: float = 0.0
-    max_subdivision_depth: int = 48
 
     def __post_init__(self):
         if not 1e-14 <= self.abs_tolerance < math.inf:
             raise ValueError("abs_tolerance must be finite and at least 1e-14")
         if not 0.0 <= self.rel_tolerance < math.inf:
             raise ValueError("rel_tolerance must be finite and non-negative")
-        if not 1 <= self.max_subdivision_depth <= 60:
-            raise ValueError("max_subdivision_depth must be in 1..60")
 
 
 DEFAULT_QUAD_CONFIG = QuadratureConfig()
@@ -325,29 +323,24 @@ def _adapt(feval, depth: int, start: np.ndarray, end: np.ndarray,
         mass = np.abs(0.5 * (hi - lo) * np.vecdot(vals, rule[-1])) * reach[owner]
         floor = 1e-15 * (1.0 + np.fmax(size, np.bincount(owner, weights=mass, minlength=n)))
         limit = np.fmax(allowed * 0.5 ** level, floor)
-        limit[np.bincount(owner, weights=err, minlength=n) <= allowed] = np.inf
-        split = live & ~(err <= limit[owner])
-        if split.any():
-            mid = 0.5 * (lo + hi)
-            nan = np.isnan(err)
-            split &= ((mid != lo) & (mid != hi)) | nan
+        total = np.bincount(owner, weights=err, minlength=n)  # per point
+        limit[total <= allowed] = np.inf
+        mid = 0.5 * (lo + hi)
+        nan = np.isnan(err)
+        split = live & ~(err <= limit[owner]) & (((mid != lo) & (mid != hi)) | nan)
         if not split.any():
             break
         pick = np.arange(owner.size).repeat(split + 1)  # a split panel twice, in place
         count = np.bincount(owner[pick], minlength=n)  # panels per point
-        # a NaN share no split can mend, or out of depth or of panels
-        if level >= cfg.max_subdivision_depth or nan.any() or count.max() > _MAX_PANELS:
-            failing = (split if level >= cfg.max_subdivision_depth
-                       else split & (nan | (count[owner] > _MAX_PANELS)))
+        # a NaN share no split can mend, or out of panels
+        failing = split & (nan | (count[owner] > _MAX_PANELS))
+        if failing.any():
             i = failing.nonzero()[0][0]
-            if nan[i]:
-                reason = "because the estimate is NaN"
-            elif level >= cfg.max_subdivision_depth:
-                reason = "at maximum subdivision depth"
-            else:
-                reason = f"at the cap of {_MAX_PANELS} panels for one point"
-            raise ToleranceNotMetError(float(allowed[owner[i]] * 0.5 ** level), float(err[i]),
-                                       (float(start[owner[i]]), float(end[owner[i]])), reason)
+            reason = ("because the estimate is NaN" if nan[i]
+                      else f"at the cap of {_MAX_PANELS} panels for one point")
+            p = owner[i]
+            raise ToleranceNotMetError(float(allowed[p]), float(total[p]),
+                                       (float(start[p]), float(end[p])), reason)
         live = split[pick]  # the halves
         owner, lo, hi, vals, err = owner[pick], lo[pick], hi[pick], vals[pick], err[pick]
         halves = live.nonzero()[0]

@@ -10,7 +10,7 @@ expression-backed, except that differentiating an integral-backed function
 recovers its integrand exactly (the derivative half of the fundamental
 theorem).  Compositions and powers apply their operators one at a time,
 innermost first, so D composed with I_a returns the operand itself through
-that provenance; no operator-algebra rewriting is attempted.
+that provenance, and I_a of a nest from the same base deepens that nest.
 
 I_a^n, a single I_a (n = 1) included, is `iterated_integral`, a NestSource
 that funcspace's quadrature engine evaluates: each point's [a, x] is
@@ -186,12 +186,15 @@ def ftoc_operator(a: float) -> OperatorNode:
 def iterated_integral(g: RealFunction, n: int, a: float,
                       cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG) -> RealFunction:
     """I_a^n g, n >= 0, as a NestSource that the quadrature engine evaluates;
-    I_a^0 g is g."""
+    I_a^0 g is g, and I_a^n of a nest I_a^m h, same cfg, is I_a^(n+m) h."""
     if n < 0:
         raise ValueError("iterated_integral requires n >= 0")
     if n == 0:
         return g
     _check_base(a, g)
+    s = g.source
+    if isinstance(s, NestSource) and s.base == float(a) and s.cfg == cfg:
+        g, n = s.integrand, s.depth + n  # one engine call, not a nest of quadratures
     return RealFunction(NestSource(float(a), g, n, cfg), g.domain, f"I[{a}]^{n}({g.label})")
 
 

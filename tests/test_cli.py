@@ -217,6 +217,8 @@ def test_remainder_domain_violation_exit_three(capsys):
                             "--n", "2", "--points", "-0.5")
     assert code == 3
     assert "numeric failure" in err
+    # the array evaluator names the operand, as evaluate does
+    assert err.rstrip().endswith("ln of non-positive value -0.5")
 
 
 def test_remainder_overflowing_kernel_is_a_domain_failure_without_warnings(capsys):

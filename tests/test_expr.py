@@ -529,9 +529,12 @@ def _naive_evaluate(e, x):
 
 
 def _naive_array(e, xs):
-    def refuse(bad, reason):
+    def refuse(bad, reason, operand=None):
         if bad.any():
-            raise DomainError(brief(e), float(xs[np.nonzero(bad)[0][0]]), reason)
+            k = np.nonzero(bad)[0][0]
+            if operand is not None:  # named as the scalar message names it
+                reason = f"{reason} {float(operand[k])}"
+            raise DomainError(brief(e), float(xs[k]), reason)
 
     k = e.kind
     if k == ex.CONST:
@@ -565,7 +568,7 @@ def _naive_array(e, xs):
     if k == ex.EXP:
         refuse(v > ex._EXP_OVERFLOW, "exp overflow")
         return np.exp(v)
-    refuse(v <= 0.0, "ln of non-positive value")
+    refuse(v <= 0.0, "ln of non-positive value", v)
     return np.log(v)
 
 

@@ -128,10 +128,6 @@ def test_quadrature_config_validation():
             QuadratureConfig(rel_tolerance=bad)
         with pytest.raises(ValueError):
             QuadratureConfig(abs_tolerance=bad)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_subdivision_depth=0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_subdivision_depth=61)
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +172,30 @@ def test_integral_propagates_domain_error():
         integrate(f, -0.5, 0.5)
 
 
-def test_tolerance_not_met_at_depth_one():
-    # |x|^0.3-like kink needs subdivision; a single panel cannot resolve it
+def test_kink_is_resolved_by_subdivision():
+    # a single panel cannot resolve the |x|^0.3 kink; bisection towards it can
     f = from_callable(lambda t: abs(t) ** 0.3, Interval(-1.0, 1.0), "kink")
-    cfg = QuadratureConfig(abs_tolerance=1e-12, max_subdivision_depth=1)
-    with pytest.raises(ToleranceNotMetError):
-        integrate(f, -1.0, 1.0, cfg)
-    # and a sane depth resolves it
     got = integrate(f, -1.0, 1.0, QuadratureConfig(abs_tolerance=1e-9))
     assert got == pytest.approx(2.0 / 1.3, abs=1e-8)
+
+
+@pytest.mark.parametrize("p, want", [(-0.5, 2.0), (-0.75, 4.0), (-0.9, 10.0)])
+def test_integrable_endpoint_singularity(p, want):
+    # the integral of x^p on [0, 1] is 1/(1+p); panels crowd towards 0 until
+    # their shares add up to within budget, far below the panel cap
+    f = f_of(f"x^({p})", Interval(0.0, 1.0))
+    assert integrate(f, 0.0, 1.0) == pytest.approx(want, abs=TOL)
+
+
+def test_non_integrable_singularity_reports_the_points_own_budget():
+    f = f_of("x^(-1)", Interval(0.0, 1.0))
+    with pytest.raises(ToleranceNotMetError) as info:
+        integrate(f, 0.0, 1.0)
+    assert info.value.requested == TOL  # what was asked for, not a halved panel budget
+    assert info.value.achieved > TOL
+    assert info.value.limit == f"at the cap of {fs._MAX_PANELS} panels for one point"
+    assert str(info.value).startswith(f"quadrature error estimate {info.value.achieved:.3e} "
+                                      "exceeds budget 1.000e-10 on (0.0, 1.0) ")
 
 
 def test_rel_tolerance_budget():
@@ -398,6 +409,9 @@ def test_constant_one_examples():
 # one panel per rule call, one integral per point (nested levels included).
 # ---------------------------------------------------------------------------
 
+REF_MAX_DEPTH = 48  # bisection levels the recursive reference allows
+
+
 def _ref_gk15(feval, lo, hi):
     hw = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
@@ -412,7 +426,7 @@ def _ref_adapt(panel, feval, lo, hi, value, err, budget, floor, depth):
         return value
     mid = 0.5 * (lo + hi)
     if depth <= 0:
-        raise ToleranceNotMetError(budget, err, (lo, hi), "at maximum subdivision depth")
+        raise ToleranceNotMetError(budget, err, (lo, hi), "at the reference's maximum depth")
     if not (lo < mid < hi):
         return value
     lv, le = panel(feval, lo, mid)
@@ -457,7 +471,7 @@ def ref_integrate(f, a, x, cfg, panels):
     budget = max(cfg.abs_tolerance, cfg.rel_tolerance * abs(value))
     floor = 1e-15 * (1.0 + abs(value))
     return sign * _ref_adapt(panel, feval, lo, hi, value, err, budget, floor,
-                             cfg.max_subdivision_depth)
+                             REF_MAX_DEPTH)
 
 
 @contextlib.contextmanager
@@ -538,10 +552,10 @@ def test_integrate_many_rejects_limits_outside_domain():
 
 
 def test_tolerance_not_met_message_matches_reference():
-    # several integrals fail in the same round: the first one's failure is
+    # every integral fails in the first round: the first one's failure is
     # reported, as the one-point call reports it
-    f = from_callable(lambda t: np.abs(t) ** 0.3, Interval(-1.0, 1.0), "kink")
-    cfg = QuadratureConfig(abs_tolerance=1e-12, max_subdivision_depth=1)
+    f = from_callable(lambda t: np.full_like(t, math.nan), Interval(-1.0, 1.0), "nan")
+    cfg = QuadratureConfig(abs_tolerance=1e-12)
     with pytest.raises(ToleranceNotMetError) as want:
         integrate(f, 0.9, -0.7, cfg)
     with pytest.raises(ToleranceNotMetError) as got:
@@ -552,15 +566,6 @@ def test_tolerance_not_met_message_matches_reference():
     assert all(type(v) is float for v in got.value.interval)
 
 
-def test_tolerance_not_met_names_the_depth():
-    f = from_callable(lambda t: np.abs(t) ** 0.3, Interval(-1.0, 1.0), "kink")
-    cfg = QuadratureConfig(abs_tolerance=1e-12, max_subdivision_depth=3)
-    with pytest.raises(ToleranceNotMetError) as info:
-        integrate(f, -1.0, 1.0, cfg)
-    assert info.value.limit == "at maximum subdivision depth"
-    assert str(info.value).endswith(" on (-1.0, 1.0) at maximum subdivision depth")
-
-
 def test_tolerance_not_met_names_the_panel_cap():
     # panels a millionth wide resolve sin(1e6 x); the cap stops at 1,024
     f = from_callable(lambda t: np.sin(1e6 * t), Interval(0.0, 1.0), "fast")
@@ -568,12 +573,13 @@ def test_tolerance_not_met_names_the_panel_cap():
         integrate(f, 0.0, 1.0)
     assert str(info.value).startswith("quadrature error estimate ")
     assert str(info.value).endswith(f"at the cap of {fs._MAX_PANELS} panels for one point")
+    assert info.value.requested == TOL
     assert panels[0] < 4 * fs._MAX_PANELS
 
 
 def test_nan_error_estimate_fails_at_once():
     # a NaN error is never within budget; bisecting it would double the
-    # panels of every round down to max_subdivision_depth
+    # panels of every round up to the panel cap
     f = from_callable(lambda t: np.full_like(t, math.nan), Interval(0.0, 1.0), "nan")
     with counted_panels() as panels, pytest.raises(ToleranceNotMetError, match="nan") as info:
         integrate_many(f, 0.0, [0.5, 1.0])

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from opcalc.expr import parse
 from opcalc.funcspace import (
-    DEFAULT_QUAD_CONFIG, Interval, NestSource, ToleranceNotMetError,
+    DEFAULT_QUAD_CONFIG, Interval, NestSource, QuadratureConfig, ToleranceNotMetError,
     constant_one, from_callable, from_expr, sup_abs,
 )
 from opcalc.operators import (
@@ -115,6 +115,22 @@ def test_power_node_is_repeated_composition():
     assert g(1.0) == pytest.approx(1.0 / 6.0, abs=10 * TOL)
     with pytest.raises(ValueError):
         Power(IntegrateFrom(0.0), 0)
+
+
+def test_integrals_from_one_base_fold_into_one_nest():
+    # I_a of a nest from a deepens it: one engine call, not a quadrature
+    # inside a quadrature
+    f = f_of("sin(x)*exp(x)")
+    xs = np.linspace(-1.0, 2.0, 20)
+    g = apply(Power(IntegrateFrom(0.25), 4), f)
+    assert g.source == NestSource(0.25, f, 4, DEFAULT_QUAD_CONFIG)
+    assert g.eval_array(xs).tolist() == iterated_integral(f, 4, 0.25).eval_array(xs).tolist()
+    assert apply(Differentiate(), g).source == NestSource(0.25, f, 3, DEFAULT_QUAD_CONFIG)
+    # a nest from another base, or under another cfg, is the operand of a new one
+    inner = iterated_integral(f, 1, 0.25)
+    cfg = QuadratureConfig(abs_tolerance=1e-8)
+    assert apply(IntegrateFrom(0.0), inner).source == NestSource(0.0, inner, 1, inner.source.cfg)
+    assert apply(IntegrateFrom(0.25), inner, cfg).source == NestSource(0.25, inner, 1, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +280,10 @@ def test_iterated_integral_bisects_only_towards_a_jump():
     got = iterated_integral(g, 2, 0.0).eval_array([1.0, -0.5])
     assert abs(got[0] - (-0.01)) <= 10 * TOL
     assert abs(got[1] - (-0.125)) <= 10 * TOL
-    # about two panels per level of the bisection, where equal panels would
-    # need 2^40 or more
-    assert sum(calls) <= 16 * 4 * DEFAULT_QUAD_CONFIG.max_subdivision_depth
+    # the first round's two panels, then two halves per round bisecting
+    # towards the jump, for at most 54 rounds: a panel about 0.3 is at float
+    # resolution after 54 halvings.  Equal panels would need 2^40 or more
+    assert sum(calls) <= 16 * 2 * (1 + 54)
 
 
 def test_iterated_integral_resolves_a_pole_near_the_range():
