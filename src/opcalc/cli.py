@@ -397,7 +397,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (DomainError, ArithmeticError, UnsupportedDifferentiationError,
-            IterationDomainError, OverflowError) as err:
+            IterationDomainError, OverflowError, RecursionError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as err:

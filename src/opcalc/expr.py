@@ -538,6 +538,34 @@ def evaluate(e: Expr, x: float) -> float:
     return result
 
 
+def value_at(e: Expr, x: float, values: dict) -> float:
+    """evaluate(e, x), bit for bit, from and into `values`, a memo of node ->
+    value at x that expressions at the one point x share.  On a refusal, a
+    math error or a non-finite value, evaluate(e, x) raises its error."""
+    try:
+        v = _value(e, float(x), values)
+    except (OverflowError, ValueError):
+        v = math.nan
+    return v if math.isfinite(v) else evaluate(e, x)
+
+
+def _value(e: Expr, x: float, values: dict) -> float:
+    """e's value at x by the tape's scalar ops, or ValueError where a guard
+    refuses; one Python frame per level of e, as _visit takes."""
+    if e.kind == VAR:
+        return x
+    v = values.get(e)
+    if v is None:
+        a = []
+        for c in e.children:
+            a.append(_value(c, x, values))
+        op = _resolve(e.kind, e.value)
+        if op.guards and any(g.test(*a) for g in op.guards):
+            raise ValueError(f"a guard refuses {e.kind}")
+        v = values[e] = op.scalar(*a) if a else op.scalar(x)  # CONST reads x
+    return v
+
+
 def _refuse(bad: np.ndarray, node: Expr, xs: np.ndarray, reason: str, operand=None) -> None:
     """Raise DomainError at the first point where `bad` holds, if any, the
     reason naming the operand's value there if an operand is given."""
@@ -570,10 +598,12 @@ def evaluate_array(e: Expr, xs: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Building.  _build returns a node, or what an exact identity folds it to:
-# 0 + v, v + 0, v - 0, 1 * v, v * 1, v / 1 and v^1 to v, a product with a
-# zero factor to 0, v^0 to 1 and -(-v) to v.  These hold in IEEE arithmetic
-# for finite v, up to the sign of zero, so repeated derivatives stay compact.
+# Building.  _build folds a node of constants by its scalar op and guards, so
+# values stay bit-identical; it keeps the node, and its error, where a guard
+# refuses, math raises or the result is not finite.  Then it returns the node
+# or what an exact identity folds it to: 0 + v, v + 0, v - 0, 1 * v, v * 1,
+# v / 1 and v^1 to v, a product with a zero factor to 0, v^0 to 1 and -(-v)
+# to v; these hold in IEEE arithmetic for finite v, up to the sign of zero.
 # It tests before it builds, so no throwaway node enters the node table.
 # ---------------------------------------------------------------------------
 
@@ -586,6 +616,15 @@ def _is_one(e: Expr) -> bool:
 
 
 def _build(kind: str, kids: tuple, value: float | None = None) -> Expr:
+    """The node, folded; one built from simplified children is marked as its
+    own simplification, so the derivative of a simplified expression is too."""
+    if kids[0].kind == CONST and all(c.kind == CONST for c in kids):
+        op, a = _resolve(kind, value), [c.value for c in kids]
+        try:
+            if not any(g.test(*a) for g in op.guards) and math.isfinite(r := op.scalar(*a)):
+                return const(r)
+        except (OverflowError, ValueError):
+            pass
     if kind == ADD:
         if _is_zero(kids[0]):
             return kids[1]
@@ -604,15 +643,30 @@ def _build(kind: str, kids: tuple, value: float | None = None) -> Expr:
         return kids[0] if value == 1.0 else const(1.0)
     elif kind == NEG and kids[0].kind == NEG:
         return kids[0].children[0]
-    return Expr(kind, kids, value)
+    node = Expr(kind, kids, value)
+    if all(not c.children or (c._simplified and c._simplified() is c) for c in kids):
+        object.__setattr__(node, "_simplified", weakref.ref(node))
+    return node
 
 
 def _minus(l: Expr, r: Expr) -> Expr:
-    """l - r, built as -r when only l is zero: d(c - v) = -dv, where 0 - r
-    would differ from -r in the sign of zero."""
+    """l - r, built as -r when l is zero, as it is once folded, and r is not:
+    d(c - v) = -dv, where 0 - r would differ from -r in the sign of zero."""
     if _is_zero(l) and not _is_zero(r):
-        return neg(r)
+        return _build(NEG, (r,))
     return _build(SUB, (l, r))
+
+
+def simplify(e: Expr) -> Expr:
+    """_build bottom up, memoized: the value is kept wherever e evaluates,
+    but 0*v folds to 0 and drops v's domain error."""
+    if not e.children:
+        return e
+    s = e._simplified and e._simplified()
+    if s is None:
+        s = _build(e.kind, tuple(simplify(c) for c in e.children), e.value)
+        object.__setattr__(e, "_simplified", weakref.ref(s))
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -659,50 +713,15 @@ def _derive(e: Expr) -> Expr:
     if _is_zero(du):
         return const(0.0)
     if k == NEG:
-        return neg(du)
+        return _build(NEG, (du,))
     if k == LN:
         return _build(DIV, (du, u))
     if k == SIN:
-        outer = cos(u)
+        outer = _build(COS, (u,))
     elif k == COS:
-        outer = neg(sin(u))
+        outer = _build(NEG, (_build(SIN, (u,)),))
     elif k == EXP:
         outer = e
     else:
         outer = _build(MUL, (const(e.value), _build(POW, (u,), e.value - 1.0)))
     return _build(MUL, (outer, du))
-
-
-# ---------------------------------------------------------------------------
-# Simplification: constant folding, then the identities of _build, bottom up.
-# Folding runs the node's scalar op and guards at fold time, so folded and
-# unfolded trees produce bit-identical values.  Where a guard refuses, math
-# raises or the result is not finite, the node stays, so error behaviour is
-# unchanged.
-# ---------------------------------------------------------------------------
-
-def _fold_constants(kind: str, kids: tuple, value: float | None) -> Expr | None:
-    if not all(c.kind == CONST for c in kids):
-        return None
-    op = _resolve(kind, value)
-    a = [c.value for c in kids]
-    if any(g.test(*a) for g in op.guards):
-        return None
-    try:
-        result = op.scalar(*a)
-    except (OverflowError, ValueError):
-        return None
-    return const(result) if math.isfinite(result) else None
-
-
-def simplify(e: Expr) -> Expr:
-    """Bottom-up application of the rewrites, memoized: the value is kept
-    wherever e evaluates, but 0*v folds to 0 and drops v's domain error."""
-    if not e.children:
-        return e
-    s = e._simplified and e._simplified()
-    if s is None:
-        kids = tuple(simplify(c) for c in e.children)
-        s = _fold_constants(e.kind, kids, e.value) or _build(e.kind, kids, e.value)
-        object.__setattr__(e, "_simplified", weakref.ref(s))
-    return s

@@ -29,12 +29,13 @@ the nested route runs while N+1 <= NESTED_MAX_DEPTH.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .expr import (
-    Expr, brief, differentiate, evaluate, evaluate_array, render, simplify,
+    DomainError, Expr, brief, differentiate, evaluate_array, render, simplify, value_at,
 )
 from .funcspace import (
     DEFAULT_QUAD_CONFIG, QuadratureConfig, from_callable, from_expr, integrate,
@@ -80,16 +81,19 @@ class TaylorExpansion:
 def ftoc_step(partial: TaylorExpansion) -> TaylorExpansion:
     """One fixed-point substitution: the residual I_a^{N+1} D^{N+1} f becomes
     D^{N+1} f(a) * I_a^{N+1} 1 plus the next residual, promoting one new
-    coefficient."""
+    coefficient, read from the memo that every order of the expansion shares."""
+    values = getattr(partial, "_values", {})  # node -> value at the base
     next_deriv = simplify(differentiate(partial.derivative_exprs[-1]))
-    new_coeff = evaluate(partial.derivative_exprs[partial.order + 1], partial.base)
-    return TaylorExpansion(
+    new_coeff = value_at(partial.derivative_exprs[partial.order + 1], partial.base, values)
+    t = TaylorExpansion(
         base=partial.base,
         order=partial.order + 1,
         coefficients=partial.coefficients + (new_coeff,),
         source=partial.source,
         derivative_exprs=partial.derivative_exprs + (next_deriv,),
     )
+    object.__setattr__(t, "_values", values)  # not a field: equality ignores it
+    return t
 
 
 def expand(f: Expr, a: float, order: int) -> TaylorExpansion:
@@ -189,23 +193,40 @@ def verify_exchange(g: tuple[Expr, Expr], a: float, upper: float,
     )
 
 
+def _cross_check(route, name: str, t: TaylorExpansion, xs: list[float],
+                 cfg: QuadratureConfig) -> list:
+    """route(t, xs, cfg) as a list, None where it raises DomainError, and then one stderr line."""
+    try:
+        return route(t, xs, cfg).tolist()
+    except DomainError as err:
+        print(f"warning: {name} is null where it fails: {err}", file=sys.stderr)
+    values = []
+    for x in xs:
+        try:
+            values.append(route(t, x, cfg))
+        except DomainError:
+            values.append(None)
+    return values
+
+
 def remainder_routes(t: TaylorExpansion, points,
                      cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG) -> list[dict]:
     """One CLI remainder row per point: the remainder of t along every route
     and max_gap, the largest pairwise gap between the route values (the bound
     is not one); nested is None when order+1 exceeds NESTED_MAX_DEPTH.
-    Points go _ROUTE_CHUNK at a time, route by route."""
+    A DomainError in a cross-check route (nested, sliced, bound) makes that
+    value None, skipped by max_gap.  Points go _ROUTE_CHUNK at a time."""
     rows = []
     for i in range(0, len(points), _ROUTE_CHUNK):
         xs = [float(x) for x in points[i:i + _ROUTE_CHUNK]]
         direct = remainder_direct(t, xs).tolist()
         exact = remainder_exact(t, xs, cfg).tolist()
-        nested = (remainder_nested(t, xs, cfg).tolist()
+        nested = (_cross_check(remainder_nested, "nested_integral", t, xs, cfg)
                   if t.order + 1 <= NESTED_MAX_DEPTH else [None] * len(xs))
-        sliced = remainder_by_slicing(t, xs, cfg).tolist()
-        bound = remainder_bound(t, xs, cfg).tolist()
+        sliced = _cross_check(remainder_by_slicing, "sliced", t, xs, cfg)
+        bound = _cross_check(remainder_bound, "bound", t, xs, cfg)
         for x, d, e, n, s, b in zip(xs, direct, exact, nested, sliced, bound):
-            values = [d, e, s] + ([n] if n is not None else [])
+            values = [v for v in (d, e, s, n) if v is not None]
             rows.append({"x": x, "direct": d, "exact_integral": e,
                          "nested_integral": n, "sliced": s, "bound": b,
                          "max_gap": max(abs(p - q) for p in values for q in values)})

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -11,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from opcalc.cli import build_parser, main
+from opcalc.pool import default_pool
+from opcalc.taylor import expand, remainder_routes
 
 PKG_ENV = {"PYTHONPATH": "src"}
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -288,6 +291,59 @@ def test_unresolvable_remainder_stops_at_the_panel_cap_in_bounded_memory():
     assert proc.stderr.startswith("numeric failure: quadrature")
     assert proc.stderr.count("\n") == 1
     assert "at the cap of 1024 panels for one point" in proc.stderr
+
+
+def test_remainder_keeps_the_row_when_only_a_cross_check_route_fails(capsys):
+    # f^(3) = 1.875 x^-0.5 is unbounded on [0, 1]: the bound's sup samples x = 0
+    code, out, err = run_main(capsys, "remainder", "--f", "x^2.5", "--a", "0",
+                              "--n", "2", "--points", "1")
+    assert code == 0
+    row = parse_json(out)["rows"][0]
+    assert row["bound"] is None
+    assert abs(row["exact_integral"] - 1.0) <= 1e-11
+    assert abs(row["nested_integral"] - 1.0) <= 1e-11
+    assert row["max_gap"] == max(abs(row[k] - 1.0) for k in
+                                 ("exact_integral", "nested_integral", "sliced"))
+    assert err == ("warning: bound is null where it fails: domain violation in "
+                   "'x^-0.5' at x=0.0: zero base with negative exponent\n")
+
+
+def test_remainder_keeps_the_rows_a_cross_check_route_can_serve(capsys):
+    code, out, err = run_main(capsys, "remainder", "--f", "x^2.5", "--a", "0.5",
+                              "--n", "2", "--points=1,0")
+    assert code == 0
+    bounds = [row["bound"] for row in parse_json(out)["rows"]]
+    assert bounds[0] > 0.0 and bounds[1] is None
+    assert err.startswith("warning: bound is null where it fails: ") and err.count("\n") == 1
+
+
+def test_pool_remainder_rows_keep_a_numeric_bound():
+    for pf in default_pool():
+        for order in range(6):
+            t = expand(pf.expr, pf.base, order)
+            rows = remainder_routes(t, [pf.probe_lo, pf.probe_hi])
+            assert all(isinstance(row["bound"], float) for row in rows), pf.label
+
+
+def _cli_process(*argv):
+    return subprocess.run([sys.executable, "-m", "opcalc", *argv], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+
+
+@pytest.mark.parametrize("text, order, code", [
+    ("+".join(["x"] * 500), "1", 3),
+    ("+".join(["x"] * 480), "1", 0),
+    ("sin(" * 60 + "x" + ")" * 60, "12", 3),
+    ("sin(" * 40 + "x" + ")" * 40, "12", 0),
+    ("sin(" * 35 + "x" + ")" * 35, "12", 0),
+])
+def test_an_expression_too_deep_for_the_recursion_limit_exits_three_in_one_line(text, order, code):
+    proc = _cli_process("expand", "--f", text, "--n", order)
+    assert proc.returncode == code, proc.stderr[-300:]
+    if code:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("numeric failure: maximum recursion depth exceeded")
+        assert proc.stderr.count("\n") == 1 and len(proc.stderr) <= 300
 
 
 # ---------------------------------------------------------------------------
@@ -581,3 +637,20 @@ def test_subprocess_entrypoint():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["command"] == "expand"
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's tracer
+# ---------------------------------------------------------------------------
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/tracer.py wraps opcalc functions by name; a rename or a
+    # deletion in src/ breaks traced runs with an AttributeError here
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); from tracer import Tracer; "
+             "Tracer(0.0).install(); import opcalc.expr; "
+             "print(hasattr(opcalc.expr.simplify, '__wrapped__'))")
+    perfbench = SRC.parent / "perfbench"
+    proc = subprocess.run([sys.executable, "-c", probe, str(perfbench)], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "True"

@@ -601,3 +601,149 @@ def test_tape_evaluation_matches_naive_tree_walk(e, xs):
         for x in xs:
             assert _outcome(evaluate, e, x) == _outcome(_naive_evaluate, e, x)
         e = simplify(differentiate(e))
+
+
+# ---------------------------------------------------------------------------
+# Derivatives built folded, against the two-pass reference: a raw derivative
+# whose nodes only the identities of _build fold, then simplify.  Derivatives
+# of simplified expressions are simplified as they are built, so each chain
+# must be the reference chain node for node.
+# ---------------------------------------------------------------------------
+
+def _raw(kind, kids, value=None):
+    """_build without constant folding."""
+    zero, one = ex._is_zero, ex._is_one
+    if kind == ex.ADD and (zero(kids[0]) or zero(kids[1])):
+        return kids[1] if zero(kids[0]) else kids[0]
+    if kind == ex.MUL and (zero(kids[0]) or zero(kids[1])):
+        return const(0.0)
+    if kind == ex.MUL and (one(kids[0]) or one(kids[1])):
+        return kids[1] if one(kids[0]) else kids[0]
+    if (kind == ex.SUB and zero(kids[1])) or (kind == ex.DIV and one(kids[1])):
+        return kids[0]
+    if kind == ex.POW and value in (0.0, 1.0):
+        return kids[0] if value == 1.0 else const(1.0)
+    if kind == ex.NEG and kids[0].kind == ex.NEG:
+        return kids[0].children[0]
+    return ex.Expr(kind, kids, value)
+
+
+def _raw_minus(l, r):
+    return ex.neg(r) if ex._is_zero(l) and not ex._is_zero(r) else _raw(ex.SUB, (l, r))
+
+
+def _raw_derivative(e, memo):
+    if e in memo:
+        return memo[e]
+    d = lambda c: _raw_derivative(c, memo)  # noqa: E731
+    k, kids = e.kind, e.children
+    if k in (ex.CONST, ex.VAR):
+        out = const(0.0 if k == ex.CONST else 1.0)
+    elif k == ex.ADD:
+        out = _raw(ex.ADD, (d(kids[0]), d(kids[1])))
+    elif k == ex.SUB:
+        out = _raw_minus(d(kids[0]), d(kids[1]))
+    elif k == ex.MUL:
+        l, r = kids
+        out = _raw(ex.ADD, (_raw(ex.MUL, (d(l), r)), _raw(ex.MUL, (l, d(r)))))
+    elif k == ex.DIV:
+        u, v = kids
+        w, c = (v.children[0], v.value) if v.kind == ex.POW and v.value != 0.0 else (v, 1.0)
+        num = _raw_minus(_raw(ex.MUL, (d(u), w)),
+                         _raw(ex.MUL, (_raw(ex.MUL, (const(c), u)), d(w))))
+        out = const(0.0) if ex._is_zero(num) else _raw(ex.DIV, (num, _raw(ex.POW, (w,), c + 1.0)))
+    elif ex._is_zero(d(kids[0])):
+        out = const(0.0)
+    elif k == ex.NEG:
+        out = ex.neg(d(kids[0]))
+    elif k == ex.LN:
+        out = _raw(ex.DIV, (d(kids[0]), kids[0]))
+    else:
+        u = kids[0]
+        outer = {ex.SIN: lambda: ex.cos(u), ex.COS: lambda: ex.neg(ex.sin(u)),
+                 ex.EXP: lambda: e,
+                 ex.POW: lambda: _raw(ex.MUL, (const(e.value), _raw(ex.POW, (u,), e.value - 1.0)))}
+        out = _raw(ex.MUL, (outer[k](), d(u)))
+    memo[e] = out
+    return out
+
+
+def _two_pass_chain(f, order):
+    chain = [f]
+    for _ in range(order + 1):
+        chain.append(simplify(_raw_derivative(chain[-1], {})))
+    return chain
+
+
+def _benchmark_expansion_texts():
+    """perfbench's EXPANSIONS texts, read without importing the benchmark."""
+    import ast
+    from pathlib import Path
+
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py").read_text()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and node.targets[0].id == "EXPANSIONS":
+            return [text for text, _ in ast.literal_eval(node.value)]
+    raise AssertionError("perfbench/workloads.py defines no EXPANSIONS")
+
+
+def test_folded_chains_are_the_two_pass_chains(monkeypatch):
+    from opcalc import taylor
+    from opcalc.pool import default_pool
+    from opcalc.verify import _expr_corpus
+
+    walked = []
+
+    def counted(e, simplify=simplify):
+        walked.append(e)
+        return simplify(e)
+
+    monkeypatch.setattr(ex, "simplify", counted)  # simplify recurses through it
+    monkeypatch.setattr(taylor, "simplify", counted)
+    texts = _benchmark_expansion_texts()
+    assert len(texts) == 16
+    fs = [parse(t) for t in texts] + [pf.expr for pf in default_pool()] + _expr_corpus()
+    for f in fs:
+        t = taylor.expand(f, 0.25, 0)
+        for _ in range(12):  # simplified as built: simplify returns it at once
+            walked.clear()
+            t = taylor.ftoc_step(t)
+            assert walked == [t.derivative_exprs[-1]], render(f)
+        assert all(d is r for d, r in zip(t.derivative_exprs, _two_pass_chain(f, 12))), render(f)
+        for k in range(1, 13):
+            assert differentiate(t.derivative_exprs[k]) is t.derivative_exprs[k + 1]
+
+
+def _coefficients(chain, x):
+    try:
+        return [evaluate(d, x) for d in chain[:-1]]
+    except DomainError:
+        return None
+
+
+@given(e=expr_trees, x=st.floats(min_value=-1.5, max_value=1.5))
+@example(e=parse("(x-x)/x"), x=1.0)  # builds -r where the reference built 0.0 - r
+@example(e=parse("-(x-x)"), x=1.0)   # u' is 0 only once folded: 0.0, not -0.0
+@settings(max_examples=300, deadline=None)
+def test_folded_expansion_differs_from_two_pass_only_in_the_sign_of_zero(e, x):
+    from opcalc.taylor import expand
+
+    reference = _coefficients(_two_pass_chain(e, 4), x)
+    if reference is None:
+        with pytest.raises(DomainError):
+            expand(e, x, 4)
+        return
+    got = expand(e, x, 4).coefficients
+    for c, r in zip(got, reference):
+        assert ex._DOUBLE_BITS(c) == ex._DOUBLE_BITS(r) or c == r == 0.0, (render(e), got, reference)
+
+
+def test_sign_of_zero_differences_from_the_two_pass_chain():
+    from opcalc.taylor import expand
+
+    quotient = expand(parse("(x-x)/x"), 1.0, 2)
+    assert _two_pass_chain(parse("(x-x)/x"), 2)[1] is parse("(0.0-(x-x))/x^2.0")
+    assert quotient.derivative_exprs[1] is parse("-(x-x)/x^2.0")
+    assert ex._DOUBLE_BITS(quotient.coefficients[1]) == ex._DOUBLE_BITS(-0.0)
+    assert expand(parse("-(x-x)"), 1.0, 1).derivative_exprs[1] is const(0.0)
+    assert _two_pass_chain(parse("-(x-x)"), 1)[1] is const(-0.0)

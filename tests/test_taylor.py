@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -14,8 +16,8 @@ from opcalc import taylor
 from opcalc.cli import main
 from opcalc import funcspace
 from opcalc.expr import (
-    const, differentiate, evaluate, mul, parse, power, render, simplify, sub,
-    var,
+    DomainError, const, differentiate, evaluate, mul, parse, power, render,
+    simplify, sub, var,
 )
 from opcalc.funcspace import DEFAULT_QUAD_CONFIG, from_expr, integrate, span_interval
 from opcalc.pool import default_pool
@@ -99,6 +101,63 @@ def test_expansion_field_invariants():
         assert c == evaluate(t.derivative_exprs[n], 0.25)
     with pytest.raises(ValueError):
         TaylorExpansion(0.0, 1, (1.0,), var(), (var(), const(1.0), const(0.0)))
+
+
+def test_coefficients_are_evaluate_bit_for_bit():
+    for f in _expr_corpus() + [pf.expr for pf in POOL]:
+        for a in (0.0, 0.3, -0.2):
+            t = expand(f, a, 12)
+            for c, d in zip(t.coefficients, t.derivative_exprs):
+                assert struct.pack("<d", c) == struct.pack("<d", evaluate(d, a)), render(f)
+
+
+def _first_domain_error(f, a, order):
+    d = f
+    for _ in range(order + 1):
+        try:
+            evaluate(d, a)
+        except DomainError as err:
+            return str(err)
+        d = simplify(differentiate(d))
+    raise AssertionError("no order fails")
+
+
+@pytest.mark.parametrize("text, a", [
+    ("ln(x)", 0.0),                 # a guard at order 0
+    ("x^0.5+sin(x)", 0.0),          # a guard at order 1, below shared nodes
+    ("exp(x)*x^2.5", 0.0),          # a guard at order 3
+    ("(x+1e200)^2", 0.0),           # math.pow overflows: names the root
+    ("x*1e300*1e300+sin(x)", 1.0),  # a non-finite result
+])
+def test_domain_error_in_expand_has_the_text_of_evaluate(text, a):
+    f = parse(text)
+    with pytest.raises(DomainError) as err:
+        expand(f, a, 6)
+    assert str(err.value) == _first_domain_error(f, a, 6)
+
+
+def test_threads_expanding_one_function_at_different_bases_match_sequential():
+    f = parse("x^2*ln(2+x)+cos(x)/(2+x)")
+    bases = [0.05 * k for k in range(8)]
+    want = {a: expand(f, a, 10).coefficients for a in bases}
+    results = {}
+
+    def run(a):
+        for _ in range(5):
+            results.setdefault(a, set()).add(expand(f, a, 10).coefficients)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run, args=(a,)) for a in bases]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert results == {a: {c} for a, c in want.items()}
 
 
 def test_iterated_integral_of_residual_integrand_is_remainder():
