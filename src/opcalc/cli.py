@@ -355,11 +355,10 @@ def cmd_verify(args) -> int:
               "seed": args.seed, "perturb_basis": args.perturb_basis,
               "tol": args.tol, "format": args.format}
     _emit(args, "verify", config, [], invariants)
-    all_passed = all(r.passed for r in reports)
-    if not all_passed:
-        failed = ", ".join(r.name for r in reports if not r.passed)
-        print(f"failed invariants: {failed}", file=sys.stderr)
-    return EXIT_OK if all_passed else EXIT_INVARIANT_FAILURE
+    failed = [r for r in reports if not r.passed]
+    for r in failed:
+        print(r, file=sys.stderr)
+    return EXIT_INVARIANT_FAILURE if failed else EXIT_OK
 
 
 _HANDLERS = {

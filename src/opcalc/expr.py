@@ -338,7 +338,10 @@ def parse(text: str) -> Expr:
     if tokens[0].kind == "end":
         raise ParseError(0, "empty input", "an expression")
     parser = _Parser(tokens)
-    node = parser.parse_expr()
+    try:
+        node = parser.parse_expr()
+    except RecursionError:  # recursive descent takes several frames per level
+        raise ParseError(parser.peek().offset, "expression nested too deeply") from None
     tail = parser.peek()
     if tail.kind != "end":
         raise ParseError(tail.offset, f"unexpected token {_cut(tail.text)!r}",

@@ -30,11 +30,11 @@ import numpy as np
 
 from .expr import const, differentiate, mul, simplify
 from .funcspace import (
-    DEFAULT_QUAD_CONFIG, NestSource, QuadratureConfig, RealFunction,
+    DEFAULT_QUAD_CONFIG, NestSource, QuadratureConfig, RealFunction, _check_range,
     constant_one, from_callable, from_expr, linear_combination, span_interval,
     sup_abs_many,
 )
-from .report import CheckReport, from_gap
+from .report import CheckReport, Worst
 
 
 class UnsupportedDifferentiationError(TypeError):
@@ -135,14 +135,6 @@ def _apply_differentiate(f: RealFunction) -> RealFunction:
     raise UnsupportedDifferentiationError(f.label)
 
 
-def _check_base(a: float, f: RealFunction) -> None:
-    if not f.domain.contains(a):
-        raise ValueError(
-            f"integration base {a} outside domain "
-            f"[{f.domain.a}, {f.domain.b}] of '{f.label}'"
-        )
-
-
 def apply(op: OperatorNode, f: RealFunction,
           cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG) -> RealFunction:
     """Apply an operator to a function value, producing a function value."""
@@ -191,7 +183,7 @@ def iterated_integral(g: RealFunction, n: int, a: float,
         raise ValueError("iterated_integral requires n >= 0")
     if n == 0:
         return g
-    _check_base(a, g)
+    _check_range(g, a, a)
     s = g.source
     if isinstance(s, NestSource) and s.base == float(a) and s.cfg == cfg:
         g, n = s.integrand, s.depth + n  # one engine call, not a nest of quadratures
@@ -235,13 +227,7 @@ def check_linearity(op: OperatorNode, f: RealFunction, g: RealFunction,
     applied_combo = apply(op, combo, cfg)
     applied_f = apply(op, f, cfg)
     applied_g = apply(op, g, cfg)
-    gap = 0.0
+    worst = Worst(f"linearity[{describe(op)}; {f.label}, {g.label}]", 5.0 * cfg.abs_tolerance)
     for x in points:
-        lhs = applied_combo(x)
-        rhs = alpha * applied_f(x) + beta * applied_g(x)
-        gap = max(gap, abs(lhs - rhs))
-    return from_gap(
-        f"linearity[{describe(op)}; {f.label}, {g.label}]",
-        gap, 5.0 * cfg.abs_tolerance,
-        alpha=alpha, beta=beta, probes=len(points),
-    )
+        worst.see(abs(applied_combo(x) - (alpha * applied_f(x) + beta * applied_g(x))), x=x)
+    return worst.report()

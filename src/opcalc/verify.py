@@ -27,11 +27,11 @@ from .funcspace import (
 )
 from .operators import (
     Compose, Differentiate, EvaluateAt, IntegrateFrom, Scale,
-    UnsupportedDifferentiationError, apply, check_linearity, ftoc_operator,
-    iterated_integral, iterated_integral_one, monotone_bound,
+    UnsupportedDifferentiationError, apply, check_linearity, describe,
+    ftoc_operator, iterated_integral, iterated_integral_one, monotone_bound,
 )
 from .pool import default_pool
-from .report import CheckReport, from_gap
+from .report import CheckReport, Worst, from_failures
 from .rng import CounterStream
 from .taylor import (
     NESTED_MAX_DEPTH, expand, ftoc_step, remainder_bound, remainder_direct,
@@ -53,6 +53,7 @@ class VerifyConfig:
         unknown = set(self.suites) - set(SUITE_NAMES)
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
+        sx.MonteCarloConfig(self.samples, self.seed)  # its range checks and messages
 
 
 def _stream(cfg: VerifyConfig, lane: int) -> CounterStream:
@@ -81,10 +82,10 @@ def suite_expr(cfg: VerifyConfig) -> list[CheckReport]:
 
     # 200 (expression, point) pairs: symbolic derivative vs central difference
     h = 1e-5
-    worst = 0.0
-    pairs = 0
+    worst = Worst("expr.derivative_matches_finite_difference", 1e-5)
     for e in corpus:
         d = simplify(differentiate(e))
+        text = render(e)
         while_count = 0
         taken = 0
         while taken < 10 and while_count < 200:
@@ -100,15 +101,12 @@ def suite_expr(cfg: VerifyConfig) -> list[CheckReport]:
             if max(abs(lo), abs(mid), abs(hi_)) > 50.0:
                 continue
             taken += 1
-            pairs += 1
             fd = (hi_ - lo) / (2.0 * h)
-            worst = max(worst, abs(dv - fd) / (1.0 + abs(dv)))
-    reports.append(from_gap("expr.derivative_matches_finite_difference",
-                            worst, 1e-5, pairs=pairs))
+            worst.see(abs(dv - fd) / (1.0 + abs(dv)), f=text, x=x)
+    reports.append(worst.report())
 
     # simplify preserves value bit-for-bit at 100 random points
-    mismatches = 0
-    checked = 0
+    mismatches = []
     for e in corpus:
         s = simplify(e)
         for _ in range(5):
@@ -117,17 +115,14 @@ def suite_expr(cfg: VerifyConfig) -> list[CheckReport]:
                 v = evaluate(e, x)
             except DomainError:
                 continue
-            checked += 1
             if evaluate(s, x) != v:
-                mismatches += 1
-    reports.append(from_gap("expr.simplify_preserves_value",
-                            float(mismatches), 0.0, points=checked))
+                mismatches.append({"f": render(e), "x": x})
+    reports.append(from_failures("expr.simplify_preserves_value", mismatches))
 
     # render round trip is structurally exact
-    broken = sum(1 for e in corpus if parse(render(e)) != e)
-    broken += sum(1 for e in corpus
-                  if parse(render(simplify(differentiate(e)))) != simplify(differentiate(e)))
-    reports.append(from_gap("expr.parse_render_round_trip", float(broken), 0.0))
+    derivatives = [simplify(differentiate(e)) for e in corpus]
+    broken = [{"f": render(e)} for e in corpus + derivatives if parse(render(e)) != e]
+    reports.append(from_failures("expr.parse_render_round_trip", broken))
     return reports
 
 
@@ -142,7 +137,7 @@ def suite_funcspace(cfg: VerifyConfig) -> list[CheckReport]:
     pool = default_pool()
     fns = [pf.function() for pf in pool]
 
-    worst = 0.0
+    worst = Worst("funcspace.integrate_linearity", 3.0 * quad.abs_tolerance)
     for _ in range(20):
         f = fns[stream.next_uint64() % len(fns)]
         g = fns[stream.next_uint64() % len(fns)]
@@ -150,22 +145,20 @@ def suite_funcspace(cfg: VerifyConfig) -> list[CheckReport]:
         beta = stream.uniform(-2.0, 2.0)
         x = stream.uniform(0.0, 0.75)
         report = check_linearity(IntegrateFrom(0.0), f, g, alpha, beta, [x], quad)
-        worst = max(worst, report.measured_gap)
-    reports.append(from_gap("funcspace.integrate_linearity", worst,
-                            3.0 * quad.abs_tolerance))
+        worst.see(report.measured_gap, f=f.label, g=g.label, alpha=alpha, beta=beta, x=x)
+    reports.append(worst.report())
 
-    worst = 0.0
+    worst = Worst("funcspace.integrate_monotonicity", 2.0 * quad.abs_tolerance)
     for _ in range(20):
         f = fns[stream.next_uint64() % len(fns)]
         h = fns[stream.next_uint64() % len(fns)]
         dominating = linear_combination(1.0, f, 1.0, absolute(h))
         x = stream.uniform(0.0, 0.75)
         gap = integrate(f, 0.0, x, quad) - integrate(dominating, 0.0, x, quad)
-        worst = max(worst, gap)
-    reports.append(from_gap("funcspace.integrate_monotonicity", max(worst, 0.0),
-                            2.0 * quad.abs_tolerance))
+        worst.see(gap, f=f.label, h=h.label, x=x)
+    reports.append(worst.report())
 
-    worst = 0.0
+    worst = Worst("funcspace.integrate_additivity", 3.0 * quad.abs_tolerance)
     for _ in range(20):
         f = fns[stream.next_uint64() % len(fns)]
         a = stream.uniform(0.0, 0.4)
@@ -173,20 +166,18 @@ def suite_funcspace(cfg: VerifyConfig) -> list[CheckReport]:
         x = stream.uniform(0.0, 0.75)
         together = integrate(f, a, x, quad)
         split = integrate(f, a, c, quad) + integrate(f, c, x, quad)
-        worst = max(worst, abs(together - split))
-    reports.append(from_gap("funcspace.integrate_additivity", worst,
-                            3.0 * quad.abs_tolerance))
+        worst.see(abs(together - split), f=f.label, a=a, c=c, x=x)
+    reports.append(worst.report())
 
-    worst = 0.0
+    worst = Worst("funcspace.sup_abs_dominates_samples", 1e-12)
     for pf in pool:
         f = pf.function()
         iv = Interval(pf.probe_lo, pf.probe_hi)
         s = sup_abs(f, iv)
         for _ in range(100):
             t = stream.uniform(iv.a, iv.b)
-            worst = max(worst, abs(f(t)) - s)
-    reports.append(from_gap("funcspace.sup_abs_dominates_samples",
-                            max(worst, 0.0), 1e-12))
+            worst.see(abs(f(t)) - s, f=pf.label, x=t)
+    reports.append(worst.report())
     return reports
 
 
@@ -202,7 +193,7 @@ def suite_operators(cfg: VerifyConfig) -> list[CheckReport]:
 
     choices = [Differentiate(), IntegrateFrom(0.0), IntegrateFrom(0.25),
                EvaluateAt(0.0), EvaluateAt(0.5), Scale(2.0), Scale(-0.5)]
-    worst = 0.0
+    worst = Worst("operators.composition_associativity", 5.0 * quad.abs_tolerance)
     for _ in range(20):
         ops = [choices[stream.next_uint64() % len(choices)] for _ in range(3)]
         pf = pool[stream.next_uint64() % len(pool)]
@@ -215,31 +206,29 @@ def suite_operators(cfg: VerifyConfig) -> list[CheckReport]:
         except UnsupportedDifferentiationError:
             continue
         xs = [pf.probe_lo + (pf.probe_hi - pf.probe_lo) * k / 49.0 for k in range(50)]
-        worst = max(worst, float(np.abs(gl.eval_array(xs) - gr.eval_array(xs)).max()))
-    reports.append(from_gap("operators.composition_associativity", worst,
-                            5.0 * quad.abs_tolerance))
+        worst.see(np.abs(gl.eval_array(xs) - gr.eval_array(xs)),
+                  f=pf.label, ops=describe(left), x=xs)
+    reports.append(worst.report())
 
-    worst = 0.0
+    worst = Worst("operators.ftoc_fixed_point", 5.0 * quad.abs_tolerance)
     for pf in pool:
         f = pf.function()
         lf = apply(ftoc_operator(pf.base), f, quad)
         xs = pf.probes(20)
-        worst = max(worst, float(np.abs(lf.eval_array(xs) - f.eval_array(xs)).max()))
-    reports.append(from_gap("operators.ftoc_fixed_point", worst,
-                            5.0 * quad.abs_tolerance))
+        worst.see(np.abs(lf.eval_array(xs) - f.eval_array(xs)), f=pf.label, x=xs)
+    reports.append(worst.report())
 
-    worst = 0.0
+    worst = Worst("operators.monotone_bound", 1e-12)
     for pf in pool:
         g = pf.function()
         xs = pf.probes(20, nonnegative_only=True)  # x == base adds a gap of 0
         for n in (1, 2, 3):
             nested = iterated_integral(g, n, pf.base, quad).eval_array(xs)
             bounds = monotone_bound(n, g, pf.base, xs, quad)
-            for value, bound in zip(nested.tolist(), bounds.tolist()):
-                worst = max(worst, abs(value) - bound * (1.0 + 1e-9))
-    reports.append(from_gap("operators.monotone_bound", max(worst, 0.0), 1e-12))
+            worst.see(np.abs(nested) - bounds * (1.0 + 1e-9), f=pf.label, n=n, x=xs)
+    reports.append(worst.report())
 
-    worst = 0.0
+    worst = Worst("operators.basis_closed_form", 10.0 * quad.abs_tolerance)
     for n in (1, 2, 3, 4):
         for _ in range(20 if n < 4 else 8):
             a = stream.uniform(-1.0, 1.0)
@@ -247,9 +236,8 @@ def suite_operators(cfg: VerifyConfig) -> list[CheckReport]:
             value = iterated_integral_one(n, a, x, quad)
             value *= 1.0 + cfg.perturb_basis  # fault-injection hook
             closed = (x - a) ** n / math.factorial(n)
-            worst = max(worst, abs(value - closed))
-    reports.append(from_gap("operators.basis_closed_form", worst,
-                            10.0 * quad.abs_tolerance))
+            worst.see(abs(value - closed), n=n, a=a, x=x)
+    reports.append(worst.report())
     return reports
 
 
@@ -262,66 +250,59 @@ def suite_taylor(cfg: VerifyConfig) -> list[CheckReport]:
     quad = cfg.quad
     pool = default_pool()
 
-    worst = 0.0
+    worst = Worst("taylor.remainder_exact_vs_direct", 1e-8)
     for pf in pool:
         for order in range(6):
             t = expand(pf.expr, pf.base, order)
             xs = pf.probes(10)
             direct = remainder_direct(t, xs)
-            gaps = np.abs(remainder_exact(t, xs, quad) - direct) - 1e-6 * np.abs(direct)
-            worst = max(worst, *gaps.tolist())
-    reports.append(from_gap("taylor.remainder_exact_vs_direct",
-                            max(worst, 0.0), 1e-8))
+            worst.see(np.abs(remainder_exact(t, xs, quad) - direct) - 1e-6 * np.abs(direct),
+                      f=pf.label, order=order, x=xs)
+    reports.append(worst.report())
 
-    worst = 0.0
+    worst = Worst("taylor.remainder_nested_vs_exact", 1e-6)
     for pf in pool:
         for order in range(NESTED_MAX_DEPTH - 2):
             t = expand(pf.expr, pf.base, order)
             xs = pf.probes(5)
-            gaps = np.abs(remainder_nested(t, xs, quad) - remainder_exact(t, xs, quad))
-            worst = max(worst, *gaps.tolist())
-    reports.append(from_gap("taylor.remainder_nested_vs_exact", worst, 1e-6))
+            worst.see(np.abs(remainder_nested(t, xs, quad) - remainder_exact(t, xs, quad)),
+                      f=pf.label, order=order, x=xs)
+    reports.append(worst.report())
 
-    worst = 0.0
+    worst = Worst("taylor.remainder_bound_validity", 1e-12)
     for pf in pool:
         for order in range(6):
             t = expand(pf.expr, pf.base, order)
             xs = pf.probes(10, nonnegative_only=True)
             gaps = np.abs(remainder_direct(t, xs)) - remainder_bound(t, xs, quad) * (1.0 + 1e-9)
-            worst = max(worst, *gaps.tolist())
-    reports.append(from_gap("taylor.remainder_bound_validity",
-                            max(worst, 0.0), 1e-12))
+            worst.see(gaps, f=pf.label, order=order, x=xs)
+    reports.append(worst.report())
 
-    worst = 0.0
+    worst = Worst("taylor.bound_factorial_decay", 1e-9)
     f = parse("exp(x)")
     for order in range(5):
         b_n = remainder_bound(expand(f, 0.0, order), 0.5, quad)
         b_n1 = remainder_bound(expand(f, 0.0, order + 1), 0.5, quad)
-        worst = max(worst, abs(b_n1 / b_n - 0.5 / (order + 2)))
-    reports.append(from_gap("taylor.bound_factorial_decay", worst, 1e-9))
+        worst.see(abs(b_n1 / b_n - 0.5 / (order + 2)), f="exp(x)", order=order, x=0.5)
+    reports.append(worst.report())
 
-    worst = 0.0
+    worst = Worst("taylor.polynomial_exactness", 10.0 * quad.abs_tolerance)
     for text, degree in (("x^2", 2), ("x^3-2*x", 3), ("1+x", 1)):
         e = parse(text)
         for order in range(degree, degree + 2):
             for row in remainder_routes(expand(e, 0.0, order), (0.5, 1.0, 1.8), quad):
-                worst = max(worst, abs(row["direct"]), abs(row["exact_integral"]),
-                            row["bound"], abs(row["sliced"]))
-                if row["nested_integral"] is not None:
-                    worst = max(worst, abs(row["nested_integral"]) * 1e-2)
-    reports.append(from_gap("taylor.polynomial_exactness", worst,
-                            10.0 * quad.abs_tolerance))
+                for route in ("direct", "exact_integral", "bound", "sliced", "nested_integral"):
+                    if row[route] is not None:  # nested is held to 100x the threshold
+                        worst.see(abs(row[route]) * (1e-2 if route == "nested_integral" else 1.0),
+                                  f=text, order=order, x=row["x"], route=route)
+    reports.append(worst.report())
 
-    broken = 0
-    for pf in pool:
-        for order in range(5):
-            stepped = ftoc_step(expand(pf.expr, pf.base, order))
-            direct = expand(pf.expr, pf.base, order + 1)
-            if stepped.coefficients != direct.coefficients:
-                broken += 1
-    reports.append(from_gap("taylor.fixed_point_consistency", float(broken), 0.0))
+    broken = [{"f": pf.label, "order": order} for pf in pool for order in range(5)
+              if ftoc_step(expand(pf.expr, pf.base, order)).coefficients
+              != expand(pf.expr, pf.base, order + 1).coefficients]
+    reports.append(from_failures("taylor.fixed_point_consistency", broken))
 
-    worst = 0.0
+    worst = Worst("taylor.exchange_identity", 10.0 * quad.abs_tolerance)
     cases = [
         ("1", "1"), ("exp(x)", "1"), ("1", "exp(x)"), ("sin(x)", "1"),
         ("x", "x"), ("cos(x)", "sin(x)"), ("x^2", "exp(x)"),
@@ -329,9 +310,8 @@ def suite_taylor(cfg: VerifyConfig) -> list[CheckReport]:
     ]
     for gi, gj in cases:
         report = verify_exchange((parse(gi), parse(gj)), 0.0, 1.0, quad)
-        worst = max(worst, report.measured_gap)
-    reports.append(from_gap("taylor.exchange_identity", worst,
-                            10.0 * quad.abs_tolerance, cases=len(cases)))
+        worst.see(report.measured_gap, gi=gi, gj=gj)
+    reports.append(worst.report())
     return reports
 
 
@@ -344,14 +324,13 @@ def suite_simplex(cfg: VerifyConfig) -> list[CheckReport]:
     stream = _stream(cfg, 4)
     quad = cfg.quad
 
-    worst = 0.0
+    worst = Worst("simplex.exact_vs_montecarlo", 0.0)
     for n in (2, 3, 4):
         spec = sx.SimplexSpec(n, 0.0, 1.0)
         est, se = sx.simplex_volume_montecarlo(
             spec, sx.MonteCarloConfig(cfg.samples, cfg.seed))
-        worst = max(worst, abs(est - sx.simplex_volume_exact(spec)) - 4.0 * se)
-    reports.append(from_gap("simplex.exact_vs_montecarlo", max(worst, 0.0), 0.0,
-                            samples=cfg.samples))
+        worst.see(abs(est - sx.simplex_volume_exact(spec)) - 4.0 * se, n=n)
+    reports.append(worst.report())
 
     partition = sx.ordering_partition_check(
         3, sx.MonteCarloConfig(min(cfg.samples, 600_000), cfg.seed))
@@ -361,21 +340,19 @@ def suite_simplex(cfg: VerifyConfig) -> list[CheckReport]:
     reports.append(CheckReport(
         name="simplex.tiling_partition", passed=tiling_ok,
         measured_gap=partition.max_cell_z, threshold=5.0,
-        details={"classified": partition.classified,
-                 "discarded": partition.discarded_duplicates},
     ))
-    cells = len(partition.cell_counts)  # below Cochran's rule no test runs, none passes
-    runs = partition.total_samples >= sx.MIN_EXPECTED_PER_CELL * cells
+    needed = sx.MIN_EXPECTED_PER_CELL * len(partition.cell_counts)
+    runs = partition.total_samples >= needed  # below Cochran's rule no test runs, none passes
     reports.append(CheckReport(
         name="simplex.equal_cell_volumes",
         passed=runs and partition.chi_square <= partition.chi_square_threshold,
         measured_gap=partition.chi_square,
         threshold=partition.chi_square_threshold,
-        details={"cells": cells},
+        details={} if runs else {"samples": partition.total_samples, "needed": needed},
     ))
 
     pool = default_pool()
-    worst = 0.0
+    worst = Worst("simplex.slicing_consistency", 1e-8)
     for _ in range(20):
         pf = pool[stream.next_uint64() % len(pool)]
         order = stream.next_uint64() % 4
@@ -383,16 +360,16 @@ def suite_simplex(cfg: VerifyConfig) -> list[CheckReport]:
         t = expand(pf.expr, pf.base, order)
         sliced = sx.remainder_by_slicing(t, x, quad)
         exact = remainder_exact(t, x, quad)
-        worst = max(worst, abs(sliced - exact))
-    reports.append(from_gap("simplex.slicing_consistency", worst, 1e-8))
+        worst.see(abs(sliced - exact), f=pf.label, order=order, x=x)
+    reports.append(worst.report())
 
-    worst = 0.0
+    worst = Worst("simplex.dimensional_recursion", 1e-12)
     for n in range(2, 13):
         a, x = 0.0, 1.7
         ratio = (sx.simplex_volume_exact(sx.SimplexSpec(n, a, x))
                  / sx.simplex_volume_exact(sx.SimplexSpec(n - 1, a, x)))
-        worst = max(worst, abs(ratio - (x - a) / n))
-    reports.append(from_gap("simplex.dimensional_recursion", worst, 1e-12))
+        worst.see(abs(ratio - (x - a) / n), n=n)
+    reports.append(worst.report())
     return reports
 
 
@@ -407,15 +384,15 @@ def suite_fixedpoint(cfg: VerifyConfig) -> list[CheckReport]:
     trace = fp.newton(parse("x^2-2"), 1.0, 1e-14, 20)
     root = math.sqrt(2.0)
     errors = [abs(v - root) for v in trace.iterates]
-    worst = 0.0
+    worst = Worst("fixedpoint.newton_quadratic_convergence", 0.0)
     for k in range(1, 4):
         if errors[k] <= 1e-7:
             break
         ratio = errors[k + 1] / errors[k] ** 2
-        worst = max(worst, max(0.0, 0.2 - ratio), max(0.0, ratio - 0.6))
-    reports.append(from_gap("fixedpoint.newton_quadratic_convergence", worst, 0.0))
+        worst.see(max(0.2 - ratio, ratio - 0.6), k=k)  # ratio outside [0.2, 0.6]
+    reports.append(worst.report())
 
-    worst = 0.0
+    worst = Worst("fixedpoint.root_rewrite_equivalence", 1e-9)
     built = 0
     while built < 20:
         roots = sorted(stream.uniform(-2.0, 2.0) for _ in range(3))
@@ -425,30 +402,27 @@ def suite_fixedpoint(cfg: VerifyConfig) -> list[CheckReport]:
         f = mul(mul(sub(var(), const(roots[0])), sub(var(), const(roots[1]))),
                 sub(var(), const(roots[2])))
         t = fp.newton(f, roots[0] + 0.05, 1e-12, 100)
-        if not t.converged:
-            worst = math.inf
-            continue
         g = fp.root_as_fixed_point(f)
-        worst = max(worst, abs(g(t.final()) - t.final()))
-    reports.append(from_gap("fixedpoint.root_rewrite_equivalence", worst, 1e-9))
+        worst.see(abs(g(t.final()) - t.final()) if t.converged else math.inf, f=render(f))
+    reports.append(worst.report())
 
     tol = 1e-9
     M = fp.SmallMatrix([[2.0, 1.0], [1.0, 2.0]])
     result = fp.power_method(M, np.array([1.0, 0.0]), tol, 500)
-    residual = float(np.max(np.abs(M.as_array() @ result.eigenvector
-                                   - result.eigenvalue * result.eigenvector)))
-    reports.append(from_gap("fixedpoint.power_method_residual", residual,
-                            10.0 * tol * abs(result.eigenvalue)))
+    worst = Worst("fixedpoint.power_method_residual", 10.0 * tol * abs(result.eigenvalue))
+    residual = np.abs(M.as_array() @ result.eigenvector - result.eigenvalue * result.eigenvector)
+    worst.see(residual, row=np.arange(residual.size))
+    reports.append(worst.report())
 
-    broken = 0
+    broken = []
     for g_text, x0 in (("cos(x)", 1.0), ("x", 2.0), ("2*x", 1.0)):
         t = fp.iterate_scalar(from_expr(parse(g_text), Interval(-1e6, 1e6)),
                               x0, 1e-10, 40)
         if list(t.residuals) != [abs(q - p) for p, q in zip(t.iterates, t.iterates[1:])]:
-            broken += 1
+            broken.append({"g": g_text, "x0": x0, "broken": "residuals"})
         if t.converged and t.residuals[-1] > 1e-10:
-            broken += 1
-    reports.append(from_gap("fixedpoint.trace_integrity", float(broken), 0.0))
+            broken.append({"g": g_text, "x0": x0, "broken": "converged"})
+    reports.append(from_failures("fixedpoint.trace_integrity", broken))
     return reports
 
 

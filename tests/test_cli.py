@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -11,9 +12,11 @@ from pathlib import Path
 
 import pytest
 
+from opcalc import verify
 from opcalc.cli import build_parser, main
 from opcalc.pool import default_pool
 from opcalc.taylor import expand, remainder_routes
+from opcalc.verify import VerifyConfig, run_suites
 
 PKG_ENV = {"PYTHONPATH": "src"}
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -346,6 +349,14 @@ def test_an_expression_too_deep_for_the_recursion_limit_exits_three_in_one_line(
         assert proc.stderr.count("\n") == 1 and len(proc.stderr) <= 300
 
 
+@pytest.mark.parametrize("text", ["(" * 200 + "x" + ")" * 200, "-" * 3000 + "x"])
+def test_an_expression_nested_too_deeply_to_parse_is_a_parse_error(capsys, text):
+    code, out, err = run_main(capsys, "expand", f"--f={text}", "--n", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: parse error at offset ")
+    assert err.endswith(": expression nested too deeply\n") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # simplex
 # ---------------------------------------------------------------------------
@@ -488,7 +499,9 @@ def test_verify_perturbation_fails_basis(capsys):
     doc = parse_json(out)
     failed = [inv for inv in doc["invariants"] if not inv["pass"]]
     assert [inv["name"] for inv in failed] == ["operators.basis_closed_form"]
-    assert "operators.basis_closed_form" in err
+    (line,) = err.splitlines()  # one line per failing invariant, naming its worst case
+    assert line.startswith("[FAIL] operators.basis_closed_form: gap=")
+    assert " at n=" in line and ", a=" in line and ", x=" in line and "np." not in line
 
 
 def test_verify_chi_square_below_five_expected_per_cell_does_not_pass(capsys):
@@ -497,7 +510,7 @@ def test_verify_chi_square_below_five_expected_per_cell_does_not_pass(capsys):
     assert code == 1
     verdict = {inv["name"]: inv["pass"] for inv in parse_json(out)["invariants"]}
     assert verdict["simplex.equal_cell_volumes"] is False
-    assert "simplex.equal_cell_volumes" in err
+    assert "simplex.equal_cell_volumes" in err and "at samples=10, needed=30\n" in err
     code, out, _ = run_main(capsys, "verify", "--suite", "simplex", "--samples", "30")
     verdict = {inv["name"]: inv["pass"] for inv in parse_json(out)["invariants"]}
     assert verdict["simplex.equal_cell_volumes"] is True
@@ -512,6 +525,44 @@ def test_verify_finite_difference_skips_points_near_a_singularity(capsys):
 def test_verify_unknown_suite_rejected(capsys):
     code, _, _ = run_main(capsys, "verify", "--suite", "nonsense")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--suite", "taylor", "--seed", "-1"), "seed must be a 64-bit unsigned integer"),
+    (("--seed", str(1 << 64)), "seed must be a 64-bit unsigned integer"),
+    (("--suite", "fixedpoint", "--samples", "0"), "samples must be in 1..1e9"),
+    (("--suite", "taylor", "--samples", "-5"), "samples must be in 1..1e9"),
+    (("--samples", "0"), "samples must be in 1..1e9"),
+])
+def test_verify_rejects_samples_and_seed_out_of_range_before_any_suite(capsys, monkeypatch,
+                                                                       argv, message):
+    monkeypatch.setattr(verify, "_SUITE_RUNNERS", {})  # a suite that ran would raise KeyError
+    assert run_main(capsys, "verify", *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.fixture(scope="module")
+def default_reports():
+    return run_suites(VerifyConfig())
+
+
+def test_verify_reports_the_invariants_the_benchmark_checks(default_reports):
+    # perfbench checks verify's output against this list; read it, not import it
+    tree = ast.parse((SRC.parent / "perfbench" / "checks.py").read_text())
+    (listed,) = [ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "VERIFY_INVARIANTS"]
+    assert [r.name for r in default_reports] == list(listed)
+
+
+def test_every_worst_case_invariant_with_a_gap_names_its_case(default_reports):
+    # the partition invariants are one measurement each, not a fold over cases
+    folds = [r for r in default_reports
+             if r.name not in ("simplex.tiling_partition", "simplex.equal_cell_volumes")]
+    gapped = [r for r in folds if r.measured_gap > 0]
+    assert len(gapped) >= 10
+    for r in gapped:
+        assert r.details, r.name
+        assert all(type(v) in (str, int, float) for v in r.details.values()), r
 
 
 def test_parser_reuse_keeps_no_state_between_calls(capsys):
