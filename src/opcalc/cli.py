@@ -235,10 +235,10 @@ def _resolve_points(args) -> list[float]:
         if count > MAX_RANGE_COUNT:
             raise ValueError(f"--range COUNT must be at most {MAX_RANGE_COUNT}")
         count = int(count)
-        if count == 1:
-            points.append(lo)
-        else:
-            points.extend(lo + (hi - lo) * k / (count - 1) for k in range(count))
+        span = [lo] if count == 1 else [lo + (hi - lo) * k / (count - 1) for k in range(count)]
+        if not all(map(math.isfinite, span)):  # HI - LO, or a multiple of it, overflows
+            raise ValueError("--range gives points that are not finite; narrow LO..HI")
+        points.extend(span)
     return points
 
 
@@ -354,10 +354,10 @@ def cmd_verify(args) -> int:
     config = {"suites": list(suites), "samples": args.samples,
               "seed": args.seed, "perturb_basis": args.perturb_basis,
               "tol": args.tol, "format": args.format}
-    _emit(args, "verify", config, [], invariants)
     failed = [r for r in reports if not r.passed]
-    for r in failed:
+    for r in failed:  # before _emit, which refuses a non-finite gap
         print(r, file=sys.stderr)
+    _emit(args, "verify", config, [], invariants)
     return EXIT_INVARIANT_FAILURE if failed else EXIT_OK
 
 

@@ -94,6 +94,8 @@ def _iterate(step, x0, tol: float, max_iter: int, wrap=()) -> IterationTrace:
     """The one fixed-point loop.  step(x, k) returns the next iterate and its
     residual; the loop stops at the first residual <= tol.  An exception of a
     `wrap` type is re-raised as IterationDomainError carrying the trace so far."""
+    if not tol >= 0.0:  # NaN too
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     iterates, residuals, converged = [x0], [], False
     for k in range(max_iter):
         try:

@@ -205,7 +205,7 @@ def suite_operators(cfg: VerifyConfig) -> list[CheckReport]:
             gr = apply(right, f, quad)
         except UnsupportedDifferentiationError:
             continue
-        xs = [pf.probe_lo + (pf.probe_hi - pf.probe_lo) * k / 49.0 for k in range(50)]
+        xs = pf.probes(50)
         worst.see(np.abs(gl.eval_array(xs) - gr.eval_array(xs)),
                   f=pf.label, ops=describe(left), x=xs)
     reports.append(worst.report())
@@ -246,60 +246,53 @@ def suite_operators(cfg: VerifyConfig) -> list[CheckReport]:
 # ---------------------------------------------------------------------------
 
 def suite_taylor(cfg: VerifyConfig) -> list[CheckReport]:
-    reports = []
     quad = cfg.quad
     pool = default_pool()
 
-    worst = Worst("taylor.remainder_exact_vs_direct", 1e-8)
+    # one FTOC iteration per pool function; the remainder invariants read each
+    # order's expansion, and every step is checked against a from-scratch run
+    exact = Worst("taylor.remainder_exact_vs_direct", 1e-8)
+    nested = Worst("taylor.remainder_nested_vs_exact", 1e-6)
+    bounded = Worst("taylor.remainder_bound_validity", 1e-12)
+    broken = []
     for pf in pool:
+        xs, coarse, right = pf.probes(10), pf.probes(5), pf.probes(10, nonnegative_only=True)
+        fresh = expand(pf.expr, pf.base, 5).coefficients
+        t = expand(pf.expr, pf.base, 0)
         for order in range(6):
-            t = expand(pf.expr, pf.base, order)
-            xs = pf.probes(10)
             direct = remainder_direct(t, xs)
-            worst.see(np.abs(remainder_exact(t, xs, quad) - direct) - 1e-6 * np.abs(direct),
+            exact.see(np.abs(remainder_exact(t, xs, quad) - direct) - 1e-6 * np.abs(direct),
                       f=pf.label, order=order, x=xs)
-    reports.append(worst.report())
-
-    worst = Worst("taylor.remainder_nested_vs_exact", 1e-6)
-    for pf in pool:
-        for order in range(NESTED_MAX_DEPTH - 2):
-            t = expand(pf.expr, pf.base, order)
-            xs = pf.probes(5)
-            worst.see(np.abs(remainder_nested(t, xs, quad) - remainder_exact(t, xs, quad)),
-                      f=pf.label, order=order, x=xs)
-    reports.append(worst.report())
-
-    worst = Worst("taylor.remainder_bound_validity", 1e-12)
-    for pf in pool:
-        for order in range(6):
-            t = expand(pf.expr, pf.base, order)
-            xs = pf.probes(10, nonnegative_only=True)
-            gaps = np.abs(remainder_direct(t, xs)) - remainder_bound(t, xs, quad) * (1.0 + 1e-9)
-            worst.see(gaps, f=pf.label, order=order, x=xs)
-    reports.append(worst.report())
+            if order < NESTED_MAX_DEPTH - 2:
+                gaps = remainder_nested(t, coarse, quad) - remainder_exact(t, coarse, quad)
+                nested.see(np.abs(gaps), f=pf.label, order=order, x=coarse)
+            bounded.see(np.abs(remainder_direct(t, right)) - remainder_bound(t, right, quad)
+                        * (1.0 + 1e-9), f=pf.label, order=order, x=right)
+            if order < 5:
+                t = ftoc_step(t)
+                if t.coefficients != fresh[:order + 2]:
+                    broken.append({"f": pf.label, "order": order})
+    reports = [exact.report(), nested.report(), bounded.report()]
 
     worst = Worst("taylor.bound_factorial_decay", 1e-9)
-    f = parse("exp(x)")
+    t = expand(parse("exp(x)"), 0.0, 0)
+    bounds = [remainder_bound(t, 0.5, quad)]
     for order in range(5):
-        b_n = remainder_bound(expand(f, 0.0, order), 0.5, quad)
-        b_n1 = remainder_bound(expand(f, 0.0, order + 1), 0.5, quad)
-        worst.see(abs(b_n1 / b_n - 0.5 / (order + 2)), f="exp(x)", order=order, x=0.5)
+        t = ftoc_step(t)
+        bounds.append(remainder_bound(t, 0.5, quad))
+        worst.see(abs(bounds[-1] / bounds[-2] - 0.5 / (order + 2)), f="exp(x)", order=order, x=0.5)
     reports.append(worst.report())
 
     worst = Worst("taylor.polynomial_exactness", 10.0 * quad.abs_tolerance)
     for text, degree in (("x^2", 2), ("x^3-2*x", 3), ("1+x", 1)):
-        e = parse(text)
-        for order in range(degree, degree + 2):
-            for row in remainder_routes(expand(e, 0.0, order), (0.5, 1.0, 1.8), quad):
+        t = expand(parse(text), 0.0, degree)
+        for t in (t, ftoc_step(t)):
+            for row in remainder_routes(t, (0.5, 1.0, 1.8), quad):
                 for route in ("direct", "exact_integral", "bound", "sliced", "nested_integral"):
                     if row[route] is not None:  # nested is held to 100x the threshold
                         worst.see(abs(row[route]) * (1e-2 if route == "nested_integral" else 1.0),
-                                  f=text, order=order, x=row["x"], route=route)
+                                  f=text, order=t.order, x=row["x"], route=route)
     reports.append(worst.report())
-
-    broken = [{"f": pf.label, "order": order} for pf in pool for order in range(5)
-              if ftoc_step(expand(pf.expr, pf.base, order)).coefficients
-              != expand(pf.expr, pf.base, order + 1).coefficients]
     reports.append(from_failures("taylor.fixed_point_consistency", broken))
 
     worst = Worst("taylor.exchange_identity", 10.0 * quad.abs_tolerance)

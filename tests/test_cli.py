@@ -15,6 +15,7 @@ import pytest
 from opcalc import verify
 from opcalc.cli import build_parser, main
 from opcalc.pool import default_pool
+from opcalc.report import Worst
 from opcalc.taylor import expand, remainder_routes
 from opcalc.verify import VerifyConfig, run_suites
 
@@ -159,6 +160,16 @@ def test_range_count_is_capped(capsys):
 def test_remainder_range_count_may_be_written_as_a_float(capsys):
     argv = ["remainder", "--f", "sin(x)", "--a", "0", "--n", "1", "--range", "0.1", "0.5"]
     assert run_main(capsys, *argv, "3.0") == run_main(capsys, *argv, "3")
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "--f", "x", "--n", "0", "--range", "-1e308", "1e308", "3"),  # HI - LO overflows
+    ("remainder", "--f", "x", "--n", "0", "--range", "-1e308", "1e308", "3"),
+    ("expand", "--f", "x", "--n", "0", "--range", "-1e308", "7e307", "1001"),  # (HI - LO) * k does
+])
+def test_range_points_must_be_finite(capsys, argv):
+    assert run_main(capsys, *argv) == (
+        2, "", "error: --range gives points that are not finite; narrow LO..HI\n")
 
 
 _REMAINDER = ("remainder", "--f", "sin(x)", "--n", "1")
@@ -476,6 +487,14 @@ def test_fixedpoint_zero_derivative_exit_three(capsys):
     assert "zero derivative" in err
 
 
+def test_fixedpoint_rejects_a_negative_tolerance(capsys):
+    argv = ("fixedpoint", "--f", "x^2-2", "--x0", "1", "--tol")
+    assert run_main(capsys, *argv, "-1") == (2, "", "error: tol must be >= 0, got -1.0\n")
+    code, out, _ = run_main(capsys, *argv, "0")
+    assert code == 0
+    assert parse_json(out)["config"]["tol"] == 0
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -538,6 +557,20 @@ def test_verify_rejects_samples_and_seed_out_of_range_before_any_suite(capsys, m
                                                                        argv, message):
     monkeypatch.setattr(verify, "_SUITE_RUNNERS", {})  # a suite that ran would raise KeyError
     assert run_main(capsys, "verify", *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("gap", [math.nan, math.inf])
+def test_verify_names_an_invariant_whose_gap_is_not_finite(capsys, monkeypatch, gap):
+    def runner(cfg):
+        worst = Worst("fixedpoint.stand_in", 1e-9)
+        worst.see(5e-10, k=1)
+        worst.see(gap, k=2)
+        return [worst.report()]
+
+    monkeypatch.setitem(verify._SUITE_RUNNERS, "fixedpoint", runner)
+    assert run_main(capsys, "verify", "--suite", "fixedpoint") == (
+        3, "", f"[FAIL] fixedpoint.stand_in: gap={gap} threshold=1.000e-09 at k=2\n"
+               f"numeric failure: non-finite value in report: {gap}\n")
 
 
 @pytest.fixture(scope="module")

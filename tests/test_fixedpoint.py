@@ -212,6 +212,21 @@ def test_zero_iterations_return_the_start_alone():
     assert result.eigenvalue == pytest.approx(2.96, abs=1e-15)
 
 
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan])
+def test_every_method_rejects_a_tolerance_that_is_not_at_least_zero(tol):
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        iterate_scalar(g_of("cos(x)"), 1.0, tol, 40)
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        newton(parse("x^2-2"), 1.0, tol, 50)
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        power_method(SmallMatrix([[2.0, 1.0], [1.0, 2.0]]), np.array([1.0, 0.0]), tol, 500)
+
+
+def test_zero_tolerance_converges_on_an_exact_residual():
+    assert newton(parse("2*x-1"), 0.0, 0.0, 5).converged
+    assert iterate_scalar(g_of("x"), 2.0, 0.0, 5).converged
+
+
 def test_trace_integrity_fails_on_a_misrecorded_residual(monkeypatch):
     def skewed(*args):
         trace = iterate_scalar(*args)

@@ -6,13 +6,14 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
-from opcalc import taylor
+from opcalc import taylor, verify
 from opcalc.cli import main
 from opcalc import funcspace
 from opcalc.expr import (
@@ -22,7 +23,7 @@ from opcalc.expr import (
 from opcalc.funcspace import DEFAULT_QUAD_CONFIG, from_expr, integrate, span_interval
 from opcalc.pool import default_pool
 from opcalc.simplex import remainder_by_slicing
-from opcalc.verify import _expr_corpus
+from opcalc.verify import VerifyConfig, _expr_corpus, suite_taylor
 from opcalc.taylor import (
     NESTED_MAX_DEPTH, TaylorExpansion, evaluate_polynomial, expand, ftoc_step,
     remainder_bound, remainder_direct, remainder_exact, remainder_nested,
@@ -178,6 +179,35 @@ def test_fixed_point_consistency():
             direct = expand(pf.expr, pf.base, order + 1)
             assert stepped.coefficients == direct.coefficients
             assert stepped.derivative_exprs == direct.derivative_exprs
+
+
+def test_verify_taylor_suite_runs_each_ftoc_iteration_once(monkeypatch):
+    expands, steps = [], []
+
+    def counted(calls, fn):
+        return lambda *args: calls.append(args) or fn(*args)
+
+    monkeypatch.setattr(verify, "expand", counted(expands, expand))
+    for module in (taylor, verify):
+        monkeypatch.setattr(module, "ftoc_step", counted(steps, ftoc_step))
+    suite_taylor(VerifyConfig())
+    # re-expanding every order from scratch made 160 expand calls and 566 steps
+    assert len(expands) <= 20
+    assert len(steps) <= 100
+
+
+def test_verify_fixed_point_consistency_names_the_step_that_drifts(monkeypatch):
+    def drifting(partial):
+        t = ftoc_step(partial)
+        if render(t.source) == "cos(x)" and partial.order == 2:
+            t = replace(t, coefficients=t.coefficients[:-1] + (t.coefficients[-1] + 1e-15,))
+        return t
+
+    monkeypatch.setattr(verify, "ftoc_step", drifting)  # expand keeps the true step
+    report = next(r for r in suite_taylor(VerifyConfig())
+                  if r.name == "taylor.fixed_point_consistency")
+    assert not report.passed
+    assert report.details == {"f": "cos(x)", "order": 2}
 
 
 # ---------------------------------------------------------------------------
