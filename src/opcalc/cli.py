@@ -25,7 +25,7 @@ from .fixedpoint import IterationDomainError, newton
 from .funcspace import DEFAULT_QUAD_CONFIG, QuadratureConfig
 from .operators import UnsupportedDifferentiationError
 from .simplex import (
-    MIN_EXPECTED_PER_CELL, PARTITION_DIMENSIONS, MonteCarloConfig, SimplexSpec,
+    PARTITION_DIMENSIONS, MonteCarloConfig, SimplexSpec, cochran_samples,
     ordering_partition_check, simplex_volume_exact, simplex_volume_montecarlo,
 )
 from .taylor import evaluate_polynomial, expand, remainder_routes
@@ -262,10 +262,12 @@ def cmd_expand(args) -> int:
             "x": None, "polynomial_value": None,
         })
     for x in points:
+        value = evaluate_polynomial(t, x)
+        if not math.isfinite(value):
+            raise ArithmeticError(f"P_N is not finite at x={x!r}: {value!r}")
         rows.append({
             "row_type": "evaluation", "n": None, "derivative_at_base": None,
-            "taylor_coefficient": None, "x": x,
-            "polynomial_value": evaluate_polynomial(t, x),
+            "taylor_coefficient": None, "x": x, "polynomial_value": value,
         })
     config = {"f": args.f, "a": args.a, "n": args.n, "points": points,
               "tol": args.tol, "format": args.format}
@@ -303,8 +305,7 @@ def cmd_simplex(args) -> int:
         "chi_square": None, "chi_square_threshold": None,
         "max_cell_z": None, "partition_pass": None,
     }
-    if (args.n in PARTITION_DIMENSIONS
-            and args.samples >= MIN_EXPECTED_PER_CELL * math.factorial(args.n)):
+    if args.n in PARTITION_DIMENSIONS and args.samples >= cochran_samples(args.n):
         partition = ordering_partition_check(args.n, mc)
         row.update({
             "classified": partition.classified,

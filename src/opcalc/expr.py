@@ -428,12 +428,13 @@ def brief(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation runs a tape (Griewank & Walther, 2008) through one op table.
-# For each node kind, _OPS holds the scalar op (math.*), the array op (numpy,
-# so quadrature evaluates a panel in one call) and the domain guards, checked
-# in order before the op.  A guard's test reads the operands, floats or arrays
-# alike; POW's guards apply only for some exponents.  Ops of kinds that carry
-# a value (CONST, POW) take it first; a CONST op reads the point.
+# Evaluation goes through one op table.  For each node kind, _OPS holds the
+# scalar op (math.*), the array op (numpy, so quadrature evaluates a panel in
+# one call) and the domain guards, checked in order before the op.  A guard's
+# test reads the operands, floats or arrays alike; POW's guards apply only for
+# some exponents.  Ops of kinds that carry a value (CONST, POW) take it first.
+# A point is valued by a memoized walk of the DAG; an array of points runs a
+# tape (Griewank & Walther, 2008) that frees each array after its last use.
 # ---------------------------------------------------------------------------
 
 _EXP_OVERFLOW = 709.782712893384  # log(DBL_MAX)
@@ -453,7 +454,7 @@ class _Op(NamedTuple):
 
 
 _OPS = {
-    CONST: _Op(lambda c, x: c, lambda c, xs: np.full(xs.shape, c)),
+    CONST: _Op(None, lambda c, xs: np.full(xs.shape, c)),  # the walk reads c itself
     ADD: _Op(operator.add, np.add),
     SUB: _Op(operator.sub, np.subtract),
     MUL: _Op(operator.mul, np.multiply),
@@ -480,22 +481,62 @@ def _resolve(kind: str, value: float | None) -> _Op:
         raise ValueError(f"unknown node kind {kind!r}")
     if value is None:
         return op
-    return _Op(partial(op.scalar, value), partial(op.array, value),
+    return _Op(op.scalar and partial(op.scalar, value), partial(op.array, value),
                tuple(g for g in op.guards if g.applies(value)))
 
 
+def evaluate(e: Expr, x: float) -> float:
+    """IEEE-double evaluation of e at the point x."""
+    return value_at(e, x, {})
+
+
+def value_at(e: Expr, x: float, values: dict) -> float:
+    """evaluate(e, x), from and into `values`, a memo of node -> value at x
+    that expressions at the one point x may share: each distinct node is
+    valued once however many of them read it."""
+    try:
+        result = _value(e, float(x), values)
+    except DomainError:
+        raise
+    except (OverflowError, ValueError) as err:
+        raise DomainError(brief(e), x, f"arithmetic failure: {err}") from err
+    if not math.isfinite(result):
+        raise DomainError(brief(e), x, "non-finite result")
+    return result
+
+
+def _value(e: Expr, x: float, values: dict) -> float:
+    """e's value at x, read from or written into the memo `values`: children
+    left to right, a node's guards before its op, in the order the tape checks
+    them.  One Python frame per level of e, as _visit takes."""
+    if e.kind == VAR:
+        return x
+    v = e.value if e.kind == CONST else values.get(e)
+    if v is None:
+        a = []
+        for child in e.children:
+            a.append(_value(child, x, values))
+        op, c = _OPS.get(e.kind), e.value
+        if op is None:
+            raise ValueError(f"unknown node kind {e.kind!r}")
+        for g in op.guards:
+            if g.test(*a) and g.applies(c):
+                raise DomainError(brief(e), x, f"{g.reason} {a[0]}" if g.shows_operand else g.reason)
+        v = values[e] = op.scalar(*a) if c is None else op.scalar(c, *a)
+    return v
+
+
 def _tape(e: Expr) -> tuple:
-    """(scalar op, array op, operand slot i, operand slot j or -1, guards,
-    weak reference to the node, slots last read here) per distinct node of
-    e but x, which is slot 0; step s fills slot s + 1.  Steps come in the
-    order a left-to-right walk first completes them, so domain checks keep
-    that walk's order.  Cached."""
+    """(array op, operand slot i, operand slot j or -1, guards, weak reference
+    to the node, slots last read here) per distinct node of e but x, which is
+    slot 0; step s fills slot s + 1, in the order _value's walk completes
+    them, so domain checks keep that order.  Cached."""
     if e._tape is None:
         steps: list[tuple] = []
         _visit(e, {}, steps)
-        last = {q: s for s, step in enumerate(steps) for q in step[2:4]}
+        last = {q: s for s, step in enumerate(steps) for q in step[1:3]}
         object.__setattr__(e, "_tape", tuple(
-            step + ({q for q in step[2:4] if q >= 0 and last[q] == s},)
+            step + ({q for q in step[1:3] if q >= 0 and last[q] == s},)
             for s, step in enumerate(steps)))
     return e._tape
 
@@ -509,64 +550,9 @@ def _visit(node: Expr, slots: dict, steps: list) -> int:
         i = _visit(kids[0], slots, steps) if kids else 0  # CONST reads x
         j = _visit(kids[1], slots, steps) if len(kids) > 1 else -1
         op = _resolve(node.kind, node.value)
-        steps.append((op.scalar, op.array, i, j, op.guards, weakref.ref(node)))
+        steps.append((op.array, i, j, op.guards, weakref.ref(node)))
         slot = slots[node] = len(steps)
     return slot
-
-
-def _run_scalar(tape: tuple, x: float) -> float:
-    v = [x]
-    push = v.append
-    for f, _, i, j, guards, ref, _ in tape:  # ref: weak reference to the node, for messages
-        if guards:
-            a = (v[i],) if j < 0 else (v[i], v[j])
-            for g in guards:
-                if g.test(*a):
-                    reason = f"{g.reason} {a[0]}" if g.shows_operand else g.reason
-                    raise DomainError(brief(ref()), x, reason)
-        push(f(v[i]) if j < 0 else f(v[i], v[j]))
-    return v[-1]
-
-
-def evaluate(e: Expr, x: float) -> float:
-    """IEEE-double evaluation of e at the point x."""
-    try:
-        result = _run_scalar(_tape(e), float(x))
-    except DomainError:
-        raise
-    except (OverflowError, ValueError) as err:
-        raise DomainError(brief(e), x, f"arithmetic failure: {err}") from err
-    if not math.isfinite(result):
-        raise DomainError(brief(e), x, "non-finite result")
-    return result
-
-
-def value_at(e: Expr, x: float, values: dict) -> float:
-    """evaluate(e, x), bit for bit, from and into `values`, a memo of node ->
-    value at x that expressions at the one point x share.  On a refusal, a
-    math error or a non-finite value, evaluate(e, x) raises its error."""
-    try:
-        v = _value(e, float(x), values)
-    except (OverflowError, ValueError):
-        v = math.nan
-    return v if math.isfinite(v) else evaluate(e, x)
-
-
-def _value(e: Expr, x: float, values: dict) -> float:
-    """e's value at x by the tape's scalar ops, or ValueError where a guard
-    refuses; one Python frame per level of e, as _visit takes."""
-    if e.kind == VAR:
-        return x
-    v = values.get(e)
-    if v is None:
-        a = []
-        for c in e.children:
-            a.append(_value(c, x, values))
-        op = _resolve(e.kind, e.value)
-        if op.guards and any(g.test(*a) for g in op.guards):
-            raise ValueError(f"a guard refuses {e.kind}")
-        v = values[e] = op.scalar(*a) if a else op.scalar(x)  # CONST reads x
-    return v
 
 
 def _refuse(bad: np.ndarray, node: Expr, xs: np.ndarray, reason: str, operand=None) -> None:
@@ -581,7 +567,7 @@ def _refuse(bad: np.ndarray, node: Expr, xs: np.ndarray, reason: str, operand=No
 def _run_array(tape: tuple, xs: np.ndarray) -> np.ndarray:
     v = [xs]
     push = v.append
-    for _, f, i, j, guards, ref, dead in tape:
+    for f, i, j, guards, ref, dead in tape:
         a = (v[i],) if j < 0 else (v[i], v[j])
         for g in guards:
             _refuse(g.test(*a), ref(), xs, g.reason, a[0] if g.shows_operand else None)

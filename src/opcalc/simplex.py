@@ -53,6 +53,13 @@ class SimplexSpec:
             raise ValueError("dimension must be in 1..12")
         if not self.x > self.a:
             raise ValueError("requires x > a")
+        try:
+            scale = (self.x - self.a) ** self.dimension
+        except OverflowError:
+            scale = math.inf
+        if not math.isfinite(scale):
+            raise ValueError(f"cell too large: (x-a)^n is not a finite float at "
+                             f"n={self.dimension}, a={self.a!r}, x={self.x!r}")
 
 
 @dataclass(frozen=True)
@@ -85,7 +92,13 @@ class PartitionReport:
     chi_square_threshold: float
     max_cell_z: float
     all_exactly_once: bool
-    passed: bool
+    tiled: bool    # every sample tallied, in exactly one cell, max_cell_z <= 5
+    passed: bool   # tiled, and the chi-square test accepts equal cells
+
+
+def cochran_samples(n: int) -> int:
+    """The fewest samples the chi-square test over n! cells needs by Cochran's rule."""
+    return MIN_EXPECTED_PER_CELL * math.factorial(n)
 
 
 def simplex_volume_exact(s: SimplexSpec) -> float:
@@ -205,7 +218,6 @@ def ordering_partition_check(n: int, cfg: MonteCarloConfig) -> PartitionReport:
         exactly_once = exactly_once and ok
 
     classified = int(counts.sum())
-    tally_ok = classified + discarded == cfg.samples
     p = 1.0 / cells
     expected = classified * p
     if classified > 0:
@@ -216,7 +228,7 @@ def ordering_partition_check(n: int, cfg: MonteCarloConfig) -> PartitionReport:
         chi_stat = math.inf
         max_z = math.inf
     threshold = chi_square_threshold(cells)
-    passed = (exactly_once and tally_ok and chi_stat <= threshold and max_z <= 5.0)
+    tiled = exactly_once and classified + discarded == cfg.samples and max_z <= 5.0
     return PartitionReport(
         dimension=n,
         total_samples=cfg.samples,
@@ -227,7 +239,8 @@ def ordering_partition_check(n: int, cfg: MonteCarloConfig) -> PartitionReport:
         chi_square_threshold=threshold,
         max_cell_z=max_z,
         all_exactly_once=exactly_once,
-        passed=passed,
+        tiled=tiled,
+        passed=tiled and chi_stat <= threshold,
     )
 
 

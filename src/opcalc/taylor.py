@@ -114,8 +114,9 @@ def evaluate_polynomial(t: TaylorExpansion, x):
     array; a scalar returns a float."""
     u = np.asarray(x, dtype=float) - t.base
     acc = np.full(u.shape, t.coefficients[t.order] / math.factorial(t.order))
-    for n in range(t.order - 1, -1, -1):
-        acc = t.coefficients[n] / math.factorial(n) + u * acc
+    with np.errstate(all="ignore"):  # an overflow shows as inf, which callers refuse
+        for n in range(t.order - 1, -1, -1):
+            acc = t.coefficients[n] / math.factorial(n) + u * acc
     return acc if acc.ndim else float(acc)
 
 

@@ -327,14 +327,11 @@ def suite_simplex(cfg: VerifyConfig) -> list[CheckReport]:
 
     partition = sx.ordering_partition_check(
         3, sx.MonteCarloConfig(min(cfg.samples, 600_000), cfg.seed))
-    tally_ok = (partition.classified + partition.discarded_duplicates
-                == partition.total_samples)
-    tiling_ok = partition.all_exactly_once and tally_ok and partition.max_cell_z <= 5.0
     reports.append(CheckReport(
-        name="simplex.tiling_partition", passed=tiling_ok,
+        name="simplex.tiling_partition", passed=partition.tiled,
         measured_gap=partition.max_cell_z, threshold=5.0,
     ))
-    needed = sx.MIN_EXPECTED_PER_CELL * len(partition.cell_counts)
+    needed = sx.cochran_samples(partition.dimension)
     runs = partition.total_samples >= needed  # below Cochran's rule no test runs, none passes
     reports.append(CheckReport(
         name="simplex.equal_cell_volumes",

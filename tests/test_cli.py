@@ -360,6 +360,18 @@ def test_an_expression_too_deep_for_the_recursion_limit_exits_three_in_one_line(
         assert proc.stderr.count("\n") == 1 and len(proc.stderr) <= 300
 
 
+@pytest.mark.parametrize("argv, code, named", [
+    (("expand", "--f", "exp(x)", "--n", "3", "--points", "1e200"), 3, "x=1e+200"),
+    (("remainder", "--f", "sin(x)", "--n", "5", "--points", "1e100"), 3, "x="),
+    (("simplex", "--n", "2", "--a", "0", "--x", "1e200"), 2, "n=2, a=0.0, x=1e+200"),
+    (("simplex", "--n", "3", "--a", "-1e308", "--x", "1e308"), 2, "n=3, a=-1e+308, x=1e+308"),
+])
+def test_an_overflow_exits_in_one_line_naming_its_point_or_cell(argv, code, named):
+    proc = _cli_process(*argv)  # numpy's warnings would reach stderr here too
+    assert proc.returncode == code and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and named in proc.stderr, proc.stderr
+
+
 @pytest.mark.parametrize("text", ["(" * 200 + "x" + ")" * 200, "-" * 3000 + "x"])
 def test_an_expression_nested_too_deeply_to_parse_is_a_parse_error(capsys, text):
     code, out, err = run_main(capsys, "expand", f"--f={text}", "--n", "1")

@@ -603,6 +603,27 @@ def test_tape_evaluation_matches_naive_tree_walk(e, xs):
         e = simplify(differentiate(e))
 
 
+@given(e=expr_trees, x=st.floats(min_value=-2.0, max_value=2.0))
+@settings(max_examples=300, deadline=None)
+def test_a_shared_memo_values_each_derivative_as_evaluate_does(e, x):
+    # one memo for f and its first three derivatives, as expand shares it;
+    # the second pass reads the memo that every refusal left partly filled
+    chain = [e]
+    for _ in range(3):
+        chain.append(simplify(differentiate(chain[-1])))
+    values = {}
+    for d in chain + chain:
+        assert _outcome(ex.value_at, d, x, values) == _outcome(evaluate, d, x)
+
+
+def test_scalar_evaluation_builds_no_tape():
+    e = parse("sin(x)*0.8125 + ln(3.0625 + x)/x")  # constants no other test uses
+    assert evaluate(e, 0.5) == math.sin(0.5) * 0.8125 + math.log(3.5625) / 0.5
+    assert e._tape is None
+    evaluate_array(e, np.array([0.5]))
+    assert e._tape is not None
+
+
 # ---------------------------------------------------------------------------
 # Derivatives built folded, against the two-pass reference: a raw derivative
 # whose nodes only the identities of _build fold, then simplify.  Derivatives

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -88,6 +89,10 @@ def test_spec_validation():
         SimplexSpec(13, 0.0, 1.0)
     with pytest.raises(ValueError):
         SimplexSpec(3, 1.0, 1.0)
+    for n, a, x in ((2, 0.0, 1e200), (3, -1e308, 1e308), (1, -1e308, 1e308)):
+        with pytest.raises(ValueError, match=re.escape(f"n={n}, a={a!r}, x={x!r}")):
+            SimplexSpec(n, a, x)
+    assert math.isfinite(simplex_volume_exact(SimplexSpec(12, 0.0, 1e25)))  # 1e300 / 12!
     with pytest.raises(ValueError):
         MonteCarloConfig(samples=0, seed=1)
     with pytest.raises(ValueError):
@@ -264,7 +269,8 @@ def test_partition_counts_nan_row_is_not_exactly_once():
 
 def test_partition_check_three_dimensional():
     report = ordering_partition_check(3, MonteCarloConfig(600_000, seed=42))
-    assert report.passed
+    assert report.passed and report.tiled
+    assert sx.cochran_samples(3) == 30
     assert report.all_exactly_once
     assert report.classified + report.discarded_duplicates == report.total_samples
     assert len(report.cell_counts) == 6
