@@ -173,186 +173,22 @@ def ln(operand: Expr) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Parsing.
+# Grammar.  One precedence table drives both the parser and the renderer:
 #
-#   expr   := term (('+'|'-') term)*
-#   term   := unary (('*'|'/') unary)*
-#   unary  := '-' unary | factor
-#   factor := base ('^' exponent)?
-#   base   := number | 'x' | func '(' expr ')' | '(' expr ')'
-#   func   := 'sin' | 'cos' | 'exp' | 'ln'
+#   infix(p) := unary (op infix(prec(op) + 1))*   binary op with prec(op) >= p
+#   unary    := '-' unary | base ('^' exponent)?
+#   base     := number | 'x' | func '(' infix(1) ')' | '(' infix(1) ')'
+#   func     := 'sin' | 'cos' | 'exp' | 'ln'       a kind in FUNC_KINDS is its name
 #
-# The exponent is a literal number; an optional sign and optional enclosing
-# parentheses are accepted there (e.g. "(1+x)^(-1)") since reciprocal powers
-# are the natural way to write 1/(1+x) with closed-form derivatives.
-# ---------------------------------------------------------------------------
-
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_FUNC_BUILDERS = {"sin": sin, "cos": cos, "exp": exp, "ln": ln}
-
-
-class _Token:
-    __slots__ = ("kind", "text", "offset")
-
-    def __init__(self, kind: str, text: str, offset: int):
-        self.kind = kind  # "number" | "ident" | one of "+-*/^()" | "end"
-        self.text = text
-        self.offset = offset
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            m = _NUMBER_RE.match(text, i)
-            if not m:
-                raise ParseError(i, f"malformed number starting at {c!r}", "number")
-            tokens.append(_Token("number", m.group(), i))
-            i = m.end()
-            continue
-        if c.isalpha() or c == "_":
-            m = _IDENT_RE.match(text, i)
-            tokens.append(_Token("ident", m.group(), i))
-            i = m.end()
-            continue
-        if c in "+-*/^()":
-            tokens.append(_Token(c, c, i))
-            i += 1
-            continue
-        raise ParseError(i, f"unknown token {c!r}")
-    tokens.append(_Token("end", "", n))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, expected: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(tok.offset, f"unexpected token {_cut(tok.text)!r}", expected)
-        return self.advance()
-
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            rhs = self.parse_term()
-            node = add(node, rhs) if op == "+" else sub(node, rhs)
-        return node
-
-    def parse_term(self) -> Expr:
-        node = self.parse_unary()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            rhs = self.parse_unary()
-            node = mul(node, rhs) if op == "*" else div(node, rhs)
-        return node
-
-    def parse_unary(self) -> Expr:
-        if self.peek().kind == "-":
-            self.advance()
-            return neg(self.parse_unary())
-        return self.parse_factor()
-
-    def parse_factor(self) -> Expr:
-        base = self.parse_base()
-        if self.peek().kind == "^":
-            self.advance()
-            return power(base, self.parse_exponent())
-        return base
-
-    def parse_exponent(self) -> float:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.advance()
-            value = self._signed_number()
-            self.expect(")", "')' closing the exponent")
-            return value
-        return self._signed_number()
-
-    def _signed_number(self) -> float:
-        sign = 1.0
-        if self.peek().kind == "-":
-            self.advance()
-            sign = -1.0
-        tok = self.peek()
-        if tok.kind != "number":
-            raise ParseError(tok.offset, "exponent must be a constant", "number")
-        return sign * self._number()
-
-    def _number(self) -> float:
-        tok = self.advance()
-        value = float(tok.text)
-        if not math.isfinite(value):
-            raise ParseError(tok.offset, "number overflows a float", "a finite number")
-        return value
-
-    def parse_base(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "number":
-            return const(self._number())
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text == "x":
-                return var()
-            builder = _FUNC_BUILDERS.get(tok.text)
-            if builder is None:
-                raise ParseError(
-                    tok.offset, f"unknown identifier {_cut(tok.text)!r}",
-                    "'x' or one of sin, cos, exp, ln",
-                )
-            self.expect("(", f"'(' after {tok.text}")
-            inner = self.parse_expr()
-            self.expect(")", "')'")
-            return builder(inner)
-        if tok.kind == "(":
-            self.advance()
-            inner = self.parse_expr()
-            self.expect(")", "')'")
-            return inner
-        raise ParseError(tok.offset, f"unexpected token {_cut(tok.text)!r}",
-                         "number, 'x', function, or '('")
-
-
-def parse(text: str) -> Expr:
-    """Parse infix expression text into an Expr tree."""
-    tokens = _tokenize(text)
-    if tokens[0].kind == "end":
-        raise ParseError(0, "empty input", "an expression")
-    parser = _Parser(tokens)
-    try:
-        node = parser.parse_expr()
-    except RecursionError:  # recursive descent takes several frames per level
-        raise ParseError(parser.peek().offset, "expression nested too deeply") from None
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise ParseError(tail.offset, f"unexpected token {_cut(tail.text)!r}",
-                         "end of input or an operator")
-    return node
-
-
-# ---------------------------------------------------------------------------
-# Rendering.  Parenthesization is chosen so parse(render(e)) rebuilds a
-# structurally identical tree (binary operators are left-associative in the
-# grammar, so right operands at equal precedence get parentheses).
+# The parser climbs _PRECEDENCE (Pratt, "Top down operator precedence",
+# 1973; Clarke, "The top-down parsing of expressions", 1986): a right operand
+# binds one level tighter than its operator, so binary operators are left
+# associative, and the renderer parenthesizes a right operand of equal
+# precedence, so parse(render(e)) rebuilds e.  The exponent is a literal
+# number, optionally signed and parenthesized, as in "(1+x)^(-1)".  Text is
+# ASCII; the first character that starts no token is refused before parsing.
+# Each level of nesting takes three Python frames; a RecursionError becomes a
+# ParseError.
 # ---------------------------------------------------------------------------
 
 _PREC_ADD = 1
@@ -361,14 +197,129 @@ _PREC_NEG = 3
 _PREC_POW = 4
 _PREC_ATOM = 5
 
+_PRECEDENCE = {ADD: _PREC_ADD, SUB: _PREC_ADD, MUL: _PREC_MUL, DIV: _PREC_MUL,
+               NEG: _PREC_NEG, POW: _PREC_POW}
+_BINARY_SYMBOLS = {ADD: "+", SUB: "-", MUL: "*", DIV: "/"}
+_BINARY_KINDS = {symbol: kind for kind, symbol in _BINARY_SYMBOLS.items()}
+
+_TOKEN_RE = re.compile(
+    r"(?P<number>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<symbol>[-+*/^()])"
+    r"|[\s\x1c-\x1f]+"  # the ASCII characters str.isspace accepts
+    r"|(?P<other>.)", re.ASCII | re.DOTALL)
+
+
+def _tokens(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) per token, the kind "number", "ident", the symbol
+    itself, or "end" for the one past the last."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind, s, offset = m.lastgroup, m.group(), m.start()
+        if kind == "other":
+            if s == ".":
+                raise ParseError(offset, "malformed number starting at '.'", "number")
+            raise ParseError(offset, f"unknown token {s!r}")
+        if kind is not None:
+            tokens.append((s if kind == "symbol" else kind, s, offset))
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.tokens = _tokens(text)
+        self.pos = 0
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
+
+    def accept(self, kind: str) -> bool:
+        """Step past the next token if it is of this kind."""
+        if self.tokens[self.pos][0] != kind:
+            return False
+        self.pos += 1
+        return True
+
+    def expect(self, kind: str, expected: str) -> None:
+        if not self.accept(kind):
+            _, text, offset = self.peek()
+            raise ParseError(offset, f"unexpected token {_cut(text)!r}", expected)
+
+    def parse_infix(self, minprec: int) -> Expr:
+        """A unary, then each binary operator of precedence minprec or more,
+        its right operand climbing one level higher."""
+        node = self.parse_unary()
+        while (kind := _BINARY_KINDS.get(self.peek()[0])) and _PRECEDENCE[kind] >= minprec:
+            self.pos += 1
+            node = Expr(kind, (node, self.parse_infix(_PRECEDENCE[kind] + 1)))
+        return node
+
+    def parse_unary(self) -> Expr:
+        if self.accept("-"):
+            return neg(self.parse_unary())
+        base = self.parse_base()
+        if not self.accept("^"):
+            return base
+        parenthesized = self.accept("(")
+        sign = -1.0 if self.accept("-") else 1.0
+        if self.peek()[0] != "number":
+            raise ParseError(self.peek()[2], "exponent must be a constant", "number")
+        exponent = sign * self._number()
+        if parenthesized:
+            self.expect(")", "')' closing the exponent")
+        return power(base, exponent)
+
+    def _number(self) -> float:
+        _, text, offset = self.tokens[self.pos]
+        self.pos += 1
+        value = float(text)
+        if not math.isfinite(value):
+            raise ParseError(offset, "number overflows a float", "a finite number")
+        return value
+
+    def parse_base(self) -> Expr:
+        kind, text, offset = self.peek()
+        if kind == "number":
+            return const(self._number())
+        if kind == "ident" and text == "x":
+            self.pos += 1
+            return var()
+        if kind == "ident" and text not in FUNC_KINDS:
+            raise ParseError(offset, f"unknown identifier {_cut(text)!r}",
+                             "'x' or one of " + ", ".join(FUNC_KINDS))
+        if kind not in ("ident", "("):
+            raise ParseError(offset, f"unexpected token {_cut(text)!r}",
+                             "number, 'x', function, or '('")
+        self.pos += 1
+        if kind == "ident":
+            self.expect("(", f"'(' after {text}")
+        inner = self.parse_infix(_PREC_ADD)
+        self.expect(")", "')'")
+        return inner if kind == "(" else Expr(text, (inner,))
+
+
+def parse(text: str) -> Expr:
+    """Parse infix expression text into an Expr tree."""
+    parser = _Parser(text)
+    if parser.peek()[0] == "end":
+        raise ParseError(0, "empty input", "an expression")
+    try:
+        node = parser.parse_infix(_PREC_ADD)
+    except RecursionError:
+        raise ParseError(parser.peek()[2], "expression nested too deeply") from None
+    parser.expect("end", "end of input or an operator")
+    return node
+
+
+# ---------------------------------------------------------------------------
+# Rendering.  Each node is parenthesized where its precedence is below the
+# one its position asks for (see Grammar).
+# ---------------------------------------------------------------------------
 
 def format_number(value: float) -> str:
     return repr(float(value))
 
 
-_PRECEDENCE = {ADD: _PREC_ADD, SUB: _PREC_ADD, MUL: _PREC_MUL, DIV: _PREC_MUL,
-               NEG: _PREC_NEG, POW: _PREC_POW}
-_BINARY_SYMBOLS = {ADD: "+", SUB: "-", MUL: "*", DIV: "/"}
 _BRIEF_LIMIT = 200
 
 
@@ -589,12 +540,18 @@ def evaluate_array(e: Expr, xs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Building.  _build folds a node of constants by its scalar op and guards, so
 # values stay bit-identical; it keeps the node, and its error, where a guard
-# refuses, math raises or the result is not finite.  Then it returns the node
-# or what an exact identity folds it to: 0 + v, v + 0, v - 0, 1 * v, v * 1,
-# v / 1 and v^1 to v, a product with a zero factor to 0, v^0 to 1 and -(-v)
-# to v; these hold in IEEE arithmetic for finite v, up to the sign of zero.
+# refuses, math raises or the result is not finite.  It keeps it too where a
+# MUL, DIV, POW or EXP of nonzero operands gives 0: an underflow, which the
+# identities would take for an exact zero and drop a term.  Then it returns
+# the node or what an exact identity folds it to: 0 + v, v + 0, v - 0, 1 * v,
+# v * 1, v / 1 and v^1 to v, a product with a zero factor to 0, v^0 to 1 and
+# -(-v) to v; these hold in IEEE arithmetic for finite v, up to the sign of
+# zero.  The quotient rule drops a zero numerator the same way.
 # It tests before it builds, so no throwaway node enters the node table.
 # ---------------------------------------------------------------------------
+
+_UNDERFLOWING = (MUL, DIV, POW, EXP)
+
 
 def _is_zero(e: Expr) -> bool:
     return e.kind == CONST and e.value == 0.0
@@ -610,7 +567,8 @@ def _build(kind: str, kids: tuple, value: float | None = None) -> Expr:
     if kids[0].kind == CONST and all(c.kind == CONST for c in kids):
         op, a = _resolve(kind, value), [c.value for c in kids]
         try:
-            if not any(g.test(*a) for g in op.guards) and math.isfinite(r := op.scalar(*a)):
+            if (not any(g.test(*a) for g in op.guards) and math.isfinite(r := op.scalar(*a))
+                    and (r != 0.0 or 0.0 in a or kind not in _UNDERFLOWING)):
                 return const(r)
         except (OverflowError, ValueError):
             pass

@@ -53,13 +53,15 @@ class SimplexSpec:
             raise ValueError("dimension must be in 1..12")
         if not self.x > self.a:
             raise ValueError("requires x > a")
+        cell = f"n={self.dimension}, a={self.a!r}, x={self.x!r}"
         try:
-            scale = (self.x - self.a) ** self.dimension
+            volume = simplex_volume_exact(self)
         except OverflowError:
-            scale = math.inf
-        if not math.isfinite(scale):
-            raise ValueError(f"cell too large: (x-a)^n is not a finite float at "
-                             f"n={self.dimension}, a={self.a!r}, x={self.x!r}")
+            volume = math.inf
+        if not math.isfinite(volume):
+            raise ValueError(f"cell too large: (x-a)^n is not a finite float at {cell}")
+        if volume == 0.0:
+            raise ValueError(f"cell too small: (x-a)^n/n! underflows to 0 at {cell}")
 
 
 @dataclass(frozen=True)

@@ -216,11 +216,16 @@ def remainder_routes(t: TaylorExpansion, points,
     and max_gap, the largest pairwise gap between the route values (the bound
     is not one); nested is None when order+1 exceeds NESTED_MAX_DEPTH.
     A DomainError in a cross-check route (nested, sliced, bound) makes that
-    value None, skipped by max_gap.  Points go _ROUTE_CHUNK at a time."""
+    value None, skipped by max_gap; a non-finite direct value raises
+    ArithmeticError naming its point before any quadrature runs.  Points go
+    _ROUTE_CHUNK at a time."""
     rows = []
     for i in range(0, len(points), _ROUTE_CHUNK):
         xs = [float(x) for x in points[i:i + _ROUTE_CHUNK]]
         direct = remainder_direct(t, xs).tolist()
+        for x, d in zip(xs, direct):
+            if not math.isfinite(d):
+                raise ArithmeticError(f"f(x) - P_N(x) is not finite at x={x!r}: {d!r}")
         exact = remainder_exact(t, xs, cfg).tolist()
         nested = (_cross_check(remainder_nested, "nested_integral", t, xs, cfg)
                   if t.order + 1 <= NESTED_MAX_DEPTH else [None] * len(xs))

@@ -365,6 +365,11 @@ def test_an_expression_too_deep_for_the_recursion_limit_exits_three_in_one_line(
     (("remainder", "--f", "sin(x)", "--n", "5", "--points", "1e100"), 3, "x="),
     (("simplex", "--n", "2", "--a", "0", "--x", "1e200"), 2, "n=2, a=0.0, x=1e+200"),
     (("simplex", "--n", "3", "--a", "-1e308", "--x", "1e308"), 2, "n=3, a=-1e+308, x=1e+308"),
+    (("simplex", "--n", "12", "--a", "0", "--x", "1e-30", "--samples", "1000"), 2,
+     "underflows to 0 at n=12, a=0.0, x=1e-30"),
+    (("simplex", "--n", "3", "--x", "1e-200"), 2, "underflows to 0 at n=3, a=0.0, x=1e-200"),
+    (("remainder", "--f", "sin(x)", "--n", "5", "--points", "0.5,1e100"), 3,
+     "not finite at x=1e+100: -inf"),
 ])
 def test_an_overflow_exits_in_one_line_naming_its_point_or_cell(argv, code, named):
     proc = _cli_process(*argv)  # numpy's warnings would reach stderr here too
@@ -372,12 +377,28 @@ def test_an_overflow_exits_in_one_line_naming_its_point_or_cell(argv, code, name
     assert proc.stderr.count("\n") == 1 and named in proc.stderr, proc.stderr
 
 
-@pytest.mark.parametrize("text", ["(" * 200 + "x" + ")" * 200, "-" * 3000 + "x"])
+@pytest.mark.parametrize("text", ["(" * 1000 + "x" + ")" * 1000, "-" * 3000 + "x"])
 def test_an_expression_nested_too_deeply_to_parse_is_a_parse_error(capsys, text):
     code, out, err = run_main(capsys, "expand", f"--f={text}", "--n", "1")
     assert (code, out) == (2, "")
     assert err.startswith("error: parse error at offset ")
     assert err.endswith(": expression nested too deeply\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, offset, char", [("é", 0, "é"), ("x+١", 2, "١")])
+def test_a_character_outside_ascii_is_a_parse_error(capsys, text, offset, char):
+    code, out, err = run_main(capsys, "expand", "--f", text, "--n", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: parse error at offset {offset}: unknown token {char!r}\n"
+
+
+def test_an_underflowing_constant_is_not_folded_into_a_wrong_derivative(capsys):
+    code, out, err = run_main(capsys, "expand", "--f", "ln(1e-200*x)", "--a", "1", "--n", "3")
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and err.endswith(": division by zero\n"), err
+    code, out, _ = run_main(capsys, "expand", "--f", "ln(1e-100*x)", "--a", "1", "--n", "3")
+    assert code == 0
+    assert [row["derivative_at_base"] for row in parse_json(out)["rows"][2:]] == [-1, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,10 @@ def test_spec_validation():
         with pytest.raises(ValueError, match=re.escape(f"n={n}, a={a!r}, x={x!r}")):
             SimplexSpec(n, a, x)
     assert math.isfinite(simplex_volume_exact(SimplexSpec(12, 0.0, 1e25)))  # 1e300 / 12!
+    for n, a, x in ((12, 0.0, 1e-30), (3, 0.0, 1e-200)):  # (x-a)^n/n! underflows to 0
+        with pytest.raises(ValueError, match=re.escape(f"underflows to 0 at n={n}, a={a!r}, x={x!r}")):
+            SimplexSpec(n, a, x)
+    assert simplex_volume_exact(SimplexSpec(12, 0.0, 1e-25)) > 0.0  # 1e-300 / 12!
     with pytest.raises(ValueError):
         MonteCarloConfig(samples=0, seed=1)
     with pytest.raises(ValueError):

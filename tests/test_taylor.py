@@ -372,6 +372,17 @@ def test_routes_are_the_cli_remainder_row(capsys):
     assert report["sliced"] == remainder_by_slicing(t, -0.4)
 
 
+def test_routes_refuse_a_non_finite_direct_value_at_the_requested_point(monkeypatch):
+    t = expand(parse("sin(x)"), 0.0, 5)
+
+    def not_reached(*args):
+        raise AssertionError("the exact route ran")
+
+    monkeypatch.setattr(taylor, "remainder_exact", not_reached)
+    with pytest.raises(ArithmeticError, match=r"not finite at x=1e\+100: -inf$"):
+        remainder_routes(t, [0.5, 1e100])
+
+
 def _bits(row):
     return {k: v.hex() if isinstance(v, float) else v for k, v in row.items()}
 
