@@ -22,9 +22,9 @@ from .funcspace import (
     integrate_many, sup_abs,
 )
 from .operators import (
-    Compose, Differentiate, EvaluateAt, Identity, IntegrateFrom, OperatorNode,
-    Power, Scale, Sum, UnsupportedDifferentiationError, apply, check_linearity,
-    ftoc_operator, iterated_integral, iterated_integral_one, monotone_bound,
+    Compose, Differentiate, EvaluateAt, IntegrateFrom, OperatorNode, Scale, Sum,
+    UnsupportedDifferentiationError, apply, check_linearity, ftoc_operator,
+    iterated_integral, iterated_integral_one, monotone_bound,
 )
 from .report import CheckReport
 from .simplex import (

@@ -294,8 +294,9 @@ def cmd_simplex(args) -> int:
     mc = MonteCarloConfig(args.samples, args.seed)
     exact = simplex_volume_exact(spec)
     estimate, std_error = simplex_volume_montecarlo(spec, mc)
-    if estimate == 0.0 and exact > 0.0:
-        raise ArithmeticError(f"no sample hit the cell (volume {exact!r}); raise --samples")
+    if std_error == 0.0 and estimate != exact:  # no sample hit the cell, or every one did
+        raise ArithmeticError(f"estimate {estimate!r} has standard error 0 but misses "
+                              f"the volume {exact!r}; raise --samples")
     z = (estimate - exact) / std_error if std_error > 0.0 else 0.0
     row = {
         "n": args.n, "a": args.a, "x": args.x, "samples": args.samples,

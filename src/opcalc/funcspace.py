@@ -387,11 +387,12 @@ def _nest_many(g: RealFunction, depth: int, a: float, xs,
             raise DomainError(g.label, float(ts[bad.nonzero()[0][0]]), "non-finite result")
         return vals
 
-    if depth > 1:
-        out[live] = _adapt(feval, depth, np.full(x.size, a), x, cfg)
-    else:
-        value = _adapt(feval, 1, np.minimum(x, a), np.maximum(x, a), cfg)
-        out[live] = value if lo > a else np.where(x < a, -value, value)
+    with np.errstate(all="ignore"):  # an overflow shows as inf, which callers refuse
+        if depth > 1:
+            out[live] = _adapt(feval, depth, np.full(x.size, a), x, cfg)
+        else:
+            value = _adapt(feval, 1, np.minimum(x, a), np.maximum(x, a), cfg)
+            out[live] = value if lo > a else np.where(x < a, -value, value)
     return out
 
 

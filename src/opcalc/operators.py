@@ -1,16 +1,15 @@
 """First-class linear operators on function values.
 
 Operators are small immutable trees: differentiation, integration from a
-base point, evaluation at a point, identity, scalar multiples, sums,
-compositions, and composition powers.  `apply` turns an operator tree plus
-a RealFunction into a new RealFunction.
+base point, evaluation at a point, scalar multiples, sums and compositions.
+`apply` turns an operator tree plus a RealFunction into a new RealFunction.
 
 Differentiation is symbolic-only: it requires the operand to be
 expression-backed, except that differentiating an integral-backed function
 recovers its integrand exactly (the derivative half of the fundamental
-theorem).  Compositions and powers apply their operators one at a time,
-innermost first, so D composed with I_a returns the operand itself through
-that provenance, and I_a of a nest from the same base deepens that nest.
+theorem).  Compositions apply their operators one at a time, innermost
+first, so D composed with I_a returns the operand itself through that
+provenance, and I_a of a nest from the same base deepens that nest.
 
 I_a^n, a single I_a (n = 1) included, is `iterated_integral`, a NestSource
 that funcspace's quadrature engine evaluates: each point's [a, x] is
@@ -70,11 +69,6 @@ class EvaluateAt(OperatorNode):
 
 
 @dataclass(frozen=True)
-class Identity(OperatorNode):
-    pass
-
-
-@dataclass(frozen=True)
 class Scale(OperatorNode):
     factor: float
 
@@ -91,16 +85,6 @@ class Compose(OperatorNode):
     inner: OperatorNode
 
 
-@dataclass(frozen=True)
-class Power(OperatorNode):
-    inner: OperatorNode
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("operator power requires n >= 1")
-
-
 def describe(op: OperatorNode) -> str:
     if isinstance(op, Differentiate):
         return "D"
@@ -108,16 +92,12 @@ def describe(op: OperatorNode) -> str:
         return f"I[{op.base}]"
     if isinstance(op, EvaluateAt):
         return f"eval[{op.base}]"
-    if isinstance(op, Identity):
-        return "id"
     if isinstance(op, Scale):
         return f"scale[{op.factor}]"
     if isinstance(op, Sum):
         return f"({describe(op.left)}+{describe(op.right)})"
     if isinstance(op, Compose):
         return f"{describe(op.outer)}.{describe(op.inner)}"
-    if isinstance(op, Power):
-        return f"{describe(op.inner)}^{op.n}"
     raise TypeError(f"not an operator node: {op!r}")
 
 
@@ -138,8 +118,6 @@ def _apply_differentiate(f: RealFunction) -> RealFunction:
 def apply(op: OperatorNode, f: RealFunction,
           cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG) -> RealFunction:
     """Apply an operator to a function value, producing a function value."""
-    if isinstance(op, Identity):
-        return f
     if isinstance(op, Differentiate):
         return _apply_differentiate(f)
     if isinstance(op, IntegrateFrom):
@@ -159,10 +137,6 @@ def apply(op: OperatorNode, f: RealFunction,
         return linear_combination(1.0, left, 1.0, right)
     if isinstance(op, Compose):
         return apply(op.outer, apply(op.inner, f, cfg), cfg)
-    if isinstance(op, Power):
-        for _ in range(op.n):
-            f = apply(op.inner, f, cfg)
-        return f
     raise TypeError(f"not an operator node: {op!r}")
 
 
@@ -199,8 +173,7 @@ def iterated_integral_one(n: int, a: float, x: float,
     return iterated_integral(constant_one(span_interval(a, x)), n, a, cfg)(x)
 
 
-def monotone_bound(n: int, g: RealFunction, a, x,
-                   cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG):
+def monotone_bound(n: int, g: RealFunction, a, x):
     """Right-hand side of the iterated monotonicity bound: sup over [a,x] of
     |g| times (x-a)^n / n!.  Given arrays of ends a and x (broadcast), it
     returns an array of bounds, taking every sup in one sup_abs_many call."""

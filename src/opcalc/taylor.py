@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,19 +59,25 @@ class TaylorExpansion:
     coefficients[n] is the derivative value f^(n)(base) (no factorial);
     derivative_exprs[n] is the exact symbolic n-th derivative, kept one
     order past the expansion so the residual integrand is always at hand.
+    `values` is the node -> value-at-base memo every order shares; equality ignores it.
     """
 
     base: float
-    order: int
     coefficients: tuple[float, ...]
-    source: Expr
     derivative_exprs: tuple[Expr, ...]
+    values: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        if len(self.coefficients) != self.order + 1:
-            raise ValueError("need exactly order+1 coefficients")
-        if len(self.derivative_exprs) != self.order + 2:
-            raise ValueError("need exactly order+2 derivative expressions")
+        if len(self.derivative_exprs) != len(self.coefficients) + 1:
+            raise ValueError("need exactly one more derivative expression than coefficients")
+
+    @property
+    def order(self) -> int:
+        return len(self.coefficients) - 1
+
+    @property
+    def source(self) -> Expr:
+        return self.derivative_exprs[0]
 
     def residual_integrand(self) -> Expr:
         """The (N+1)-th derivative, the integrand of the residual term."""
@@ -82,18 +88,11 @@ def ftoc_step(partial: TaylorExpansion) -> TaylorExpansion:
     """One fixed-point substitution: the residual I_a^{N+1} D^{N+1} f becomes
     D^{N+1} f(a) * I_a^{N+1} 1 plus the next residual, promoting one new
     coefficient, read from the memo that every order of the expansion shares."""
-    values = getattr(partial, "_values", {})  # node -> value at the base
-    next_deriv = simplify(differentiate(partial.derivative_exprs[-1]))
-    new_coeff = value_at(partial.derivative_exprs[partial.order + 1], partial.base, values)
-    t = TaylorExpansion(
-        base=partial.base,
-        order=partial.order + 1,
-        coefficients=partial.coefficients + (new_coeff,),
-        source=partial.source,
-        derivative_exprs=partial.derivative_exprs + (next_deriv,),
-    )
-    object.__setattr__(t, "_values", values)  # not a field: equality ignores it
-    return t
+    residual = partial.residual_integrand()
+    next_deriv = simplify(differentiate(residual))
+    new_coeff = value_at(residual, partial.base, partial.values)
+    return TaylorExpansion(partial.base, partial.coefficients + (new_coeff,),
+                           partial.derivative_exprs + (next_deriv,), partial.values)
 
 
 def expand(f: Expr, a: float, order: int) -> TaylorExpansion:
@@ -103,7 +102,7 @@ def expand(f: Expr, a: float, order: int) -> TaylorExpansion:
         raise ValueError("order must be >= 0")
     if order > 12:
         raise ValueError("order capped at 12 (cost guard)")
-    t = TaylorExpansion(float(a), -1, (), f, (f,))
+    t = TaylorExpansion(float(a), (), (f,))
     for _ in range(order + 1):
         t = ftoc_step(t)
     return t
@@ -158,10 +157,10 @@ def remainder_bound(t: TaylorExpansion, x,
                     cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG):
     """sup |f^(N+1)| times |x-a|^(N+1)/(N+1)!: operators.monotone_bound on
     [min(a,x), max(a,x)], so x < a is the oriented extension of the bound.
-    x may be an array; a scalar returns a float."""
+    x may be an array; a scalar returns a float.  cfg is unread: routes share (t, x, cfg)."""
     a = t.base
     deriv = from_expr(t.residual_integrand(), span_interval(a, x))
-    return monotone_bound(t.order + 1, deriv, np.minimum(a, x), np.maximum(a, x), cfg)
+    return monotone_bound(t.order + 1, deriv, np.minimum(a, x), np.maximum(a, x))
 
 
 def verify_exchange(g: tuple[Expr, Expr], a: float, upper: float,
@@ -196,17 +195,30 @@ def verify_exchange(g: tuple[Expr, Expr], a: float, upper: float,
 
 def _cross_check(route, name: str, t: TaylorExpansion, xs: list[float],
                  cfg: QuadratureConfig) -> list:
-    """route(t, xs, cfg) as a list, None where it raises DomainError, and then one stderr line."""
+    """route(t, xs, cfg) as a list, None where it raises DomainError or is
+    not finite, with one stderr line for each of the two."""
     try:
-        return route(t, xs, cfg).tolist()
+        values = route(t, xs, cfg).tolist()
     except DomainError as err:
         print(f"warning: {name} is null where it fails: {err}", file=sys.stderr)
-    values = []
-    for x in xs:
-        try:
-            values.append(route(t, x, cfg))
-        except DomainError:
-            values.append(None)
+        values = []
+        for x in xs:
+            try:
+                values.append(route(t, x, cfg))
+            except DomainError:
+                values.append(None)
+    bad = [(x, v) for x, v in zip(xs, values) if v is not None and not math.isfinite(v)]
+    if bad:
+        print(f"warning: {name} is null where it is not finite, first at x={bad[0][0]!r}: "
+              f"{bad[0][1]!r}", file=sys.stderr)
+    return [v if v is None or math.isfinite(v) else None for v in values]
+
+
+def _finite(what: str, xs: list[float], values: list[float]) -> list[float]:
+    """values, or ArithmeticError naming the first point where one is not finite."""
+    for x, v in zip(xs, values):
+        if not math.isfinite(v):
+            raise ArithmeticError(f"{what} is not finite at x={x!r}: {v!r}")
     return values
 
 
@@ -215,18 +227,15 @@ def remainder_routes(t: TaylorExpansion, points,
     """One CLI remainder row per point: the remainder of t along every route
     and max_gap, the largest pairwise gap between the route values (the bound
     is not one); nested is None when order+1 exceeds NESTED_MAX_DEPTH.
-    A DomainError in a cross-check route (nested, sliced, bound) makes that
-    value None, skipped by max_gap; a non-finite direct value raises
-    ArithmeticError naming its point before any quadrature runs.  Points go
-    _ROUTE_CHUNK at a time."""
+    A DomainError or non-finite value in a cross-check route (nested, sliced,
+    bound) makes that value None, skipped by max_gap; a non-finite direct or
+    exact value raises ArithmeticError naming its point, the direct one before
+    any quadrature runs.  Points go _ROUTE_CHUNK at a time."""
     rows = []
     for i in range(0, len(points), _ROUTE_CHUNK):
         xs = [float(x) for x in points[i:i + _ROUTE_CHUNK]]
-        direct = remainder_direct(t, xs).tolist()
-        for x, d in zip(xs, direct):
-            if not math.isfinite(d):
-                raise ArithmeticError(f"f(x) - P_N(x) is not finite at x={x!r}: {d!r}")
-        exact = remainder_exact(t, xs, cfg).tolist()
+        direct = _finite("f(x) - P_N(x)", xs, remainder_direct(t, xs).tolist())
+        exact = _finite("exact_integral", xs, remainder_exact(t, xs, cfg).tolist())
         nested = (_cross_check(remainder_nested, "nested_integral", t, xs, cfg)
                   if t.order + 1 <= NESTED_MAX_DEPTH else [None] * len(xs))
         sliced = _cross_check(remainder_by_slicing, "sliced", t, xs, cfg)

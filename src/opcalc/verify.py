@@ -224,7 +224,7 @@ def suite_operators(cfg: VerifyConfig) -> list[CheckReport]:
         xs = pf.probes(20, nonnegative_only=True)  # x == base adds a gap of 0
         for n in (1, 2, 3):
             nested = iterated_integral(g, n, pf.base, quad).eval_array(xs)
-            bounds = monotone_bound(n, g, pf.base, xs, quad)
+            bounds = monotone_bound(n, g, pf.base, xs)
             worst.see(np.abs(nested) - bounds * (1.0 + 1e-9), f=pf.label, n=n, x=xs)
     reports.append(worst.report())
 

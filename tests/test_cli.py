@@ -370,11 +370,37 @@ def test_an_expression_too_deep_for_the_recursion_limit_exits_three_in_one_line(
     (("simplex", "--n", "3", "--x", "1e-200"), 2, "underflows to 0 at n=3, a=0.0, x=1e-200"),
     (("remainder", "--f", "sin(x)", "--n", "5", "--points", "0.5,1e100"), 3,
      "not finite at x=1e+100: -inf"),
+    # the quadrature engine's products overflow without a numpy warning
+    (("remainder", "--f", "exp(x)", "--n", "1", "--points", "709.7"), 3,
+     "numeric failure: exact_integral is not finite at x=709.7: inf"),
 ])
 def test_an_overflow_exits_in_one_line_naming_its_point_or_cell(argv, code, named):
     proc = _cli_process(*argv)  # numpy's warnings would reach stderr here too
     assert proc.returncode == code and proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and named in proc.stderr, proc.stderr
+
+
+def test_a_bound_that_overflows_is_null_naming_its_route_and_point():
+    # sup|exp| * 700^2/2 overflows a float; every other route is about 1.0142e304
+    proc = _cli_process("remainder", "--f", "exp(x)", "--n", "1", "--points", "700")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "warning: bound is null where it is not finite, first at x=700.0: inf\n"
+    row = json.loads(proc.stdout)["rows"][0]
+    assert row["bound"] is None
+    assert all(abs(row[k] / 1.0142e304 - 1.0) < 1e-4
+               for k in ("direct", "exact_integral", "nested_integral", "sliced"))
+
+
+def test_a_monte_carlo_estimate_with_no_spread_that_misses_the_volume_is_refused():
+    # one sample, and it lands in the n=2 cell: estimate 1 against 0.5, standard error 0
+    proc = _cli_process("simplex", "--n", "2", "--samples", "1", "--seed", "6")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("raise --samples\n")
+    # at n=1 the cell is the cube, so the same sample is exact
+    proc = _cli_process("simplex", "--n", "1", "--samples", "1", "--seed", "6")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    row = json.loads(proc.stdout)["rows"][0]
+    assert row["estimate"] == row["exact_volume"] == 1.0 and row["z_score"] == 0.0
 
 
 @pytest.mark.parametrize("text", ["(" * 1000 + "x" + ")" * 1000, "-" * 3000 + "x"])

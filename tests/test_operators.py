@@ -17,8 +17,8 @@ from opcalc.funcspace import (
     constant_one, from_callable, from_expr, sup_abs,
 )
 from opcalc.operators import (
-    Compose, Differentiate, EvaluateAt, Identity, IntegrateFrom, Power, Scale,
-    Sum, UnsupportedDifferentiationError, apply, check_linearity, describe,
+    Compose, Differentiate, EvaluateAt, IntegrateFrom, Scale, Sum,
+    UnsupportedDifferentiationError, apply, check_linearity, describe,
     ftoc_operator, iterated_integral, iterated_integral_one, monotone_bound,
 )
 from opcalc.pool import default_pool
@@ -51,11 +51,6 @@ def test_apply_evaluate_at_makes_constant():
     g = apply(EvaluateAt(0.0), f_of("sin(x)"))
     assert g(7.3) == 0.0
     assert g(-2.0) == 0.0
-
-
-def test_apply_identity_returns_same_object():
-    f = f_of("cos(x)")
-    assert apply(Identity(), f) is f
 
 
 def test_apply_scale_and_sum():
@@ -109,20 +104,13 @@ def test_integrate_base_outside_domain_rejected():
         apply(IntegrateFrom(5.0), f)
 
 
-def test_power_node_is_repeated_composition():
-    one = constant_one(Interval(-0.5, 1.5))
-    g = apply(Power(IntegrateFrom(0.0), 3), one)
-    assert g(1.0) == pytest.approx(1.0 / 6.0, abs=10 * TOL)
-    with pytest.raises(ValueError):
-        Power(IntegrateFrom(0.0), 0)
-
-
 def test_integrals_from_one_base_fold_into_one_nest():
     # I_a of a nest from a deepens it: one engine call, not a quadrature
     # inside a quadrature
     f = f_of("sin(x)*exp(x)")
     xs = np.linspace(-1.0, 2.0, 20)
-    g = apply(Power(IntegrateFrom(0.25), 4), f)
+    i = IntegrateFrom(0.25)
+    g = apply(Compose(i, Compose(i, Compose(i, i))), f)
     assert g.source == NestSource(0.25, f, 4, DEFAULT_QUAD_CONFIG)
     assert g.eval_array(xs).tolist() == iterated_integral(f, 4, 0.25).eval_array(xs).tolist()
     assert apply(Differentiate(), g).source == NestSource(0.25, f, 3, DEFAULT_QUAD_CONFIG)

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import mpmath
@@ -44,7 +44,8 @@ def test_order_zero_is_one_ftoc_step_from_all_residual():
     assert t.coefficients == (evaluate(f, 0.3),)
     first, second = t.derivative_exprs
     assert first is f and second is simplify(differentiate(f))
-    minus_one = TaylorExpansion(0.3, -1, (), f, (f,))
+    minus_one = TaylorExpansion(0.3, (), (f,))
+    assert (minus_one.order, minus_one.source) == (-1, f)
     assert ftoc_step(minus_one) == t
 
 
@@ -101,7 +102,20 @@ def test_expansion_field_invariants():
     for n, c in enumerate(t.coefficients):
         assert c == evaluate(t.derivative_exprs[n], 0.25)
     with pytest.raises(ValueError):
-        TaylorExpansion(0.0, 1, (1.0,), var(), (var(), const(1.0), const(0.0)))
+        TaylorExpansion(0.0, (1.0,), (var(), const(1.0), const(0.0)))
+
+
+def test_order_and_source_are_derived_and_the_memo_is_shared_but_not_compared():
+    f = parse("sin(x)*exp(x)")
+    t = expand(f, 0.25, 3)
+    assert [fd.name for fd in fields(TaylorExpansion)] == [
+        "base", "coefficients", "derivative_exprs", "values"]
+    assert t.order == 3 and t.source is f is t.derivative_exprs[0]
+    assert t.values  # filled by the steps that built t
+    assert ftoc_step(t).values is t.values  # one memo for every order
+    fresh = TaylorExpansion(t.base, t.coefficients, t.derivative_exprs)
+    assert fresh.values == {} and fresh == t and hash(fresh) == hash(t)
+    assert "values" not in repr(t)
 
 
 def test_coefficients_are_evaluate_bit_for_bit():
@@ -381,6 +395,17 @@ def test_routes_refuse_a_non_finite_direct_value_at_the_requested_point(monkeypa
     monkeypatch.setattr(taylor, "remainder_exact", not_reached)
     with pytest.raises(ArithmeticError, match=r"not finite at x=1e\+100: -inf$"):
         remainder_routes(t, [0.5, 1e100])
+
+
+def test_quadrature_routes_overflow_to_inf_without_a_warning(monkeypatch):
+    # exp(t) near 709.7 times a panel's weights overflows; warnings are errors here
+    t = expand(parse("exp(x)"), 0.0, 1)
+    assert remainder_exact(t, 709.7) == math.inf
+    assert remainder_by_slicing(t, 709.7) == math.inf
+    remainder_nested(t, 709.7)  # returns, without a warning
+    monkeypatch.setattr(taylor, "remainder_nested", None)  # refused before the cross-checks
+    with pytest.raises(ArithmeticError, match=r"^exact_integral is not finite at x=709.7: inf$"):
+        remainder_routes(t, [1.0, 709.7])
 
 
 def _bits(row):
