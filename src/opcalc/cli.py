@@ -281,8 +281,14 @@ def cmd_remainder(args) -> int:
         raise ValueError("remainder requires --points or --range")
     f = parse(args.f)
     quad = _quad_config(args)
-    t = expand(f, args.a, args.n)
-    rows = remainder_routes(t, points, quad)
+    rows = remainder_routes(expand(f, args.a, args.n), points, quad)
+    for route in ("nested_integral", "sliced", "bound"):  # cross-checks: null, not a failure
+        bad = [row for row in rows if not math.isfinite(row[route] or 0.0)]
+        if bad:
+            print(f"warning: {route} is null where it is not finite, first at "
+                  f"x={bad[0]['x']!r}: {bad[0][route]!r}", file=sys.stderr)
+        for row in bad:
+            row[route] = None
     config = {"f": args.f, "a": args.a, "n": args.n, "points": points,
               "tol": args.tol, "format": args.format}
     _emit(args, "remainder", config, rows, [])

@@ -284,8 +284,9 @@ def _adapt(feval, depth: int, start: np.ndarray, end: np.ndarray,
     is the sup of the nest's kernel on the range times the panel's length
     times its Legendre tail.  A point is done once its shares add up to
     within its budget; until then a panel splits while its share is over
-    both its own budget (halved per split) and the float floor.  The depth
-    levels then run once over each point's panels, in order from start."""
+    both its own budget (halved per split) and the float floor; a point whose
+    floor overflows before its budget is met is inf.  The depth levels then
+    run once over each point's panels, in order from start."""
     _, rule, _ = _spectral_rule()
     # (x - s)^(depth-1) / (depth-1)!, the kernel of I^depth, is at most this
     reach = np.abs(end - start) ** (depth - 1) / math.factorial(depth - 1)
@@ -358,6 +359,7 @@ def _adapt(feval, depth: int, start: np.ndarray, end: np.ndarray,
             chunk = rows[i:i + step]
             panels = first[chunk][:, None] + np.arange(m)
             value[chunk] = _nest(vals[panels], half[panels], depth)
+    value[~(total <= allowed) & ~np.isfinite(floor)] = np.inf
     return value
 
 

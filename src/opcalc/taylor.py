@@ -153,14 +153,12 @@ def remainder_nested(t: TaylorExpansion, x,
     return values if np.ndim(x) else float(values[0])
 
 
-def remainder_bound(t: TaylorExpansion, x,
-                    cfg: QuadratureConfig = DEFAULT_QUAD_CONFIG):
+def remainder_bound(t: TaylorExpansion, x):
     """sup |f^(N+1)| times |x-a|^(N+1)/(N+1)!: operators.monotone_bound on
     [min(a,x), max(a,x)], so x < a is the oriented extension of the bound.
-    x may be an array; a scalar returns a float.  cfg is unread: routes share (t, x, cfg)."""
-    a = t.base
-    deriv = from_expr(t.residual_integrand(), span_interval(a, x))
-    return monotone_bound(t.order + 1, deriv, np.minimum(a, x), np.maximum(a, x))
+    x may be an array; a scalar returns a float."""
+    deriv = from_expr(t.residual_integrand(), span_interval(t.base, x))
+    return monotone_bound(t.order + 1, deriv, np.minimum(t.base, x), np.maximum(t.base, x))
 
 
 def verify_exchange(g: tuple[Expr, Expr], a: float, upper: float,
@@ -193,25 +191,19 @@ def verify_exchange(g: tuple[Expr, Expr], a: float, upper: float,
     )
 
 
-def _cross_check(route, name: str, t: TaylorExpansion, xs: list[float],
-                 cfg: QuadratureConfig) -> list:
-    """route(t, xs, cfg) as a list, None where it raises DomainError or is
-    not finite, with one stderr line for each of the two."""
+def _cross_check(route, name: str, xs: list[float]) -> list:
+    """route(xs) as a list, None where it raises DomainError, and then one stderr line."""
     try:
-        values = route(t, xs, cfg).tolist()
+        return route(xs).tolist()
     except DomainError as err:
         print(f"warning: {name} is null where it fails: {err}", file=sys.stderr)
-        values = []
-        for x in xs:
-            try:
-                values.append(route(t, x, cfg))
-            except DomainError:
-                values.append(None)
-    bad = [(x, v) for x, v in zip(xs, values) if v is not None and not math.isfinite(v)]
-    if bad:
-        print(f"warning: {name} is null where it is not finite, first at x={bad[0][0]!r}: "
-              f"{bad[0][1]!r}", file=sys.stderr)
-    return [v if v is None or math.isfinite(v) else None for v in values]
+    values = []
+    for x in xs:
+        try:
+            values.append(route(x))
+        except DomainError:
+            values.append(None)
+    return values
 
 
 def _finite(what: str, xs: list[float], values: list[float]) -> list[float]:
@@ -227,21 +219,21 @@ def remainder_routes(t: TaylorExpansion, points,
     """One CLI remainder row per point: the remainder of t along every route
     and max_gap, the largest pairwise gap between the route values (the bound
     is not one); nested is None when order+1 exceeds NESTED_MAX_DEPTH.
-    A DomainError or non-finite value in a cross-check route (nested, sliced,
-    bound) makes that value None, skipped by max_gap; a non-finite direct or
-    exact value raises ArithmeticError naming its point, the direct one before
-    any quadrature runs.  Points go _ROUTE_CHUNK at a time."""
+    A DomainError in a cross-check route (nested, sliced, bound) makes that
+    value None; max_gap skips None and non-finite values.  A non-finite direct
+    or exact value raises ArithmeticError naming its point, the direct one
+    before any quadrature runs.  Points go _ROUTE_CHUNK at a time."""
     rows = []
     for i in range(0, len(points), _ROUTE_CHUNK):
         xs = [float(x) for x in points[i:i + _ROUTE_CHUNK]]
         direct = _finite("f(x) - P_N(x)", xs, remainder_direct(t, xs).tolist())
         exact = _finite("exact_integral", xs, remainder_exact(t, xs, cfg).tolist())
-        nested = (_cross_check(remainder_nested, "nested_integral", t, xs, cfg)
+        nested = (_cross_check(lambda p: remainder_nested(t, p, cfg), "nested_integral", xs)
                   if t.order + 1 <= NESTED_MAX_DEPTH else [None] * len(xs))
-        sliced = _cross_check(remainder_by_slicing, "sliced", t, xs, cfg)
-        bound = _cross_check(remainder_bound, "bound", t, xs, cfg)
+        sliced = _cross_check(lambda p: remainder_by_slicing(t, p, cfg), "sliced", xs)
+        bound = _cross_check(lambda p: remainder_bound(t, p), "bound", xs)
         for x, d, e, n, s, b in zip(xs, direct, exact, nested, sliced, bound):
-            values = [v for v in (d, e, s, n) if v is not None]
+            values = [v for v in (d, e, s, n) if v is not None and math.isfinite(v)]
             rows.append({"x": x, "direct": d, "exact_integral": e,
                          "nested_integral": n, "sliced": s, "bound": b,
                          "max_gap": max(abs(p - q) for p in values for q in values)})

@@ -266,7 +266,7 @@ def suite_taylor(cfg: VerifyConfig) -> list[CheckReport]:
             if order < NESTED_MAX_DEPTH - 2:
                 gaps = remainder_nested(t, coarse, quad) - remainder_exact(t, coarse, quad)
                 nested.see(np.abs(gaps), f=pf.label, order=order, x=coarse)
-            bounded.see(np.abs(remainder_direct(t, right)) - remainder_bound(t, right, quad)
+            bounded.see(np.abs(remainder_direct(t, right)) - remainder_bound(t, right)
                         * (1.0 + 1e-9), f=pf.label, order=order, x=right)
             if order < 5:
                 t = ftoc_step(t)
@@ -276,10 +276,10 @@ def suite_taylor(cfg: VerifyConfig) -> list[CheckReport]:
 
     worst = Worst("taylor.bound_factorial_decay", 1e-9)
     t = expand(parse("exp(x)"), 0.0, 0)
-    bounds = [remainder_bound(t, 0.5, quad)]
+    bounds = [remainder_bound(t, 0.5)]
     for order in range(5):
         t = ftoc_step(t)
-        bounds.append(remainder_bound(t, 0.5, quad))
+        bounds.append(remainder_bound(t, 0.5))
         worst.see(abs(bounds[-1] / bounds[-2] - 0.5 / (order + 2)), f="exp(x)", order=order, x=0.5)
     reports.append(worst.report())
 

@@ -391,6 +391,19 @@ def test_a_bound_that_overflows_is_null_naming_its_route_and_point():
                for k in ("direct", "exact_integral", "nested_integral", "sliced"))
 
 
+def test_a_nest_whose_error_overflows_is_null_not_wrong():
+    # at 705 the nest's float floor overflows, so its error cannot be bounded
+    proc = _cli_process("remainder", "--f", "exp(x)", "--n", "1", "--points", "705")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == (
+        "warning: nested_integral is null where it is not finite, first at x=705.0: inf\n"
+        "warning: bound is null where it is not finite, first at x=705.0: inf\n")
+    row = json.loads(proc.stdout)["rows"][0]
+    assert row["nested_integral"] is None and row["bound"] is None
+    assert all(abs(row[k] / 1.5052538330631938e306 - 1.0) < 1e-12
+               for k in ("direct", "exact_integral", "sliced"))
+
+
 def test_a_monte_carlo_estimate_with_no_spread_that_misses_the_volume_is_refused():
     # one sample, and it lands in the n=2 cell: estimate 1 against 0.5, standard error 0
     proc = _cli_process("simplex", "--n", "2", "--samples", "1", "--seed", "6")

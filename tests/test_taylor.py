@@ -402,10 +402,20 @@ def test_quadrature_routes_overflow_to_inf_without_a_warning(monkeypatch):
     t = expand(parse("exp(x)"), 0.0, 1)
     assert remainder_exact(t, 709.7) == math.inf
     assert remainder_by_slicing(t, 709.7) == math.inf
-    remainder_nested(t, 709.7)  # returns, without a warning
+    # from about 703.2 on, the nest's float floor, e^x times its kernel's reach x,
+    # overflows, so its error cannot be bounded and its value is not to be trusted
+    assert remainder_nested(t, [705.0, 709.7]).tolist() == [math.inf, math.inf]
+    assert remainder_nested(t, 700.0) == pytest.approx(math.exp(700.0) - 701.0, rel=1e-12)
     monkeypatch.setattr(taylor, "remainder_nested", None)  # refused before the cross-checks
     with pytest.raises(ArithmeticError, match=r"^exact_integral is not finite at x=709.7: inf$"):
         remainder_routes(t, [1.0, 709.7])
+
+
+def test_routes_keep_a_non_finite_cross_check_value_for_the_caller():
+    # verify fails on it; the CLI nulls it with a warning line
+    row = remainder_routes(expand(parse("exp(x)"), 0.0, 1), [700.0])[0]
+    assert row["bound"] == math.inf
+    assert row["max_gap"] < 1e-10 * row["exact_integral"]
 
 
 def _bits(row):
