@@ -17,11 +17,11 @@ if str(_SRC) not in sys.path:
 
 from opcalc.expr import parse
 from opcalc.fixedpoint import SmallMatrix, iterate_scalar, newton, power_method
-from opcalc.funcspace import Interval, from_expr
+from opcalc.funcspace import from_expr
 
 
 def main() -> int:
-    g = from_expr(parse("cos(x)"), Interval(-10.0, 10.0))
+    g = from_expr(parse("cos(x)"))
     trace = iterate_scalar(g, 1.0, 1e-10, 200)
     print(f"cos iteration: {trace.iterations_used} steps -> "
           f"{trace.final():.10f} (converged={trace.converged})")

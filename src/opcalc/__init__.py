@@ -17,9 +17,8 @@ from .fixedpoint import (
     root_as_fixed_point,
 )
 from .funcspace import (
-    DEFAULT_QUAD_CONFIG, Interval, QuadratureConfig, RealFunction,
-    ToleranceNotMetError, constant_one, from_callable, from_expr, integrate,
-    integrate_many, sup_abs,
+    DEFAULT_QUAD_CONFIG, QuadratureConfig, RealFunction, ToleranceNotMetError,
+    constant_one, from_callable, from_expr, integrate, integrate_many, sup_abs,
 )
 from .operators import (
     Compose, Differentiate, EvaluateAt, IntegrateFrom, OperatorNode, Scale, Sum,

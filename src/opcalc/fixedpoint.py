@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .expr import DomainError, Expr, add, differentiate, evaluate, simplify, var
-from .funcspace import Interval, RealFunction, from_expr
+from .funcspace import RealFunction, from_expr
 
 
 class ZeroDerivativeError(ArithmeticError):
@@ -164,9 +164,6 @@ def power_method(M: SmallMatrix, v0, tol: float,
     return PowerMethodResult(float(v @ (A @ v)), v, trace)  # Rayleigh quotient; v is unit
 
 
-_WIDE_INTERVAL = Interval(-1e9, 1e9)
-
-
 def root_as_fixed_point(f: Expr) -> RealFunction:
     """g(x) = x + f(x): the fixed points of g are exactly the roots of f."""
-    return from_expr(add(var(), f), _WIDE_INTERVAL, "x+f(x)")
+    return from_expr(add(var(), f), "x+f(x)")

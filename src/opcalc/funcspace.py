@@ -1,5 +1,5 @@
-"""Evaluable real functions over intervals, plus the numerical primitives
-that realize the integral operator and the sup-norm bound machinery.
+"""Evaluable real functions, plus the numerical primitives that realize
+the integral operator and the sup-norm bound machinery.
 
 One adaptive quadrature engine realizes I_a^n for every n >= 1; a single
 I_a (integrate, integrate_many) is its depth-1 case.  Each point's range is
@@ -36,35 +36,6 @@ class ToleranceNotMetError(ArithmeticError):
             f"quadrature error estimate {achieved:.3e} exceeds budget "
             f"{requested:.3e} on {interval} {limit}"
         )
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval [a, b] with a < b, both finite."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError("interval endpoints must be finite")
-        if not self.a < self.b:
-            raise ValueError(f"interval requires a < b, got [{self.a}, {self.b}]")
-
-    def length(self) -> float:
-        return self.b - self.a
-
-    def contains(self, x: float) -> bool:
-        """a <= x <= b, up to a rounding slack of 1e-9 * (1 + length)."""
-        slack = 1e-9 * (1.0 + self.length())
-        return self.a - slack <= x <= self.b + slack
-
-
-def span_interval(a: float, x) -> Interval:
-    """The interval between a and x (one or more points), padded to hold all."""
-    lo, hi = float(min(a, np.min(x))), float(max(a, np.max(x)))
-    pad = 1e-9 * (1.0 + hi - lo)
-    return Interval(lo - pad, hi + pad)
 
 
 @dataclass(frozen=True)
@@ -114,10 +85,10 @@ Source = Union[ExprSource, NestSource, ClosureSource]
 
 @dataclass(frozen=True)
 class RealFunction:
-    """A function value: evaluable on its interval, immutable, pure."""
+    """A function value: evaluable, immutable, pure.  Where it is defined
+    is for its evaluator to say, by DomainError."""
 
     source: Source
-    domain: Interval
     label: str
 
     def __call__(self, x: float) -> float:
@@ -147,36 +118,33 @@ class RealFunction:
         raise ValueError(f"function '{self.label}' has no symbolic backing")
 
 
-def from_expr(e: Expr, domain: Interval, label: str | None = None) -> RealFunction:
-    return RealFunction(ExprSource(e), domain, label if label is not None else brief(e))
+def from_expr(e: Expr, label: str | None = None) -> RealFunction:
+    return RealFunction(ExprSource(e), label if label is not None else brief(e))
 
 
-def constant_one(iv: Interval) -> RealFunction:
-    """The constant function 1 on the interval."""
-    return from_expr(const(1.0), iv, "1")
+def constant_one() -> RealFunction:
+    """The constant function 1."""
+    return from_expr(const(1.0), "1")
 
 
-def from_callable(fn: Callable[[np.ndarray], np.ndarray], domain: Interval,
-                  label: str) -> RealFunction:
+def from_callable(fn: Callable[[np.ndarray], np.ndarray], label: str) -> RealFunction:
     """A function backed by `fn`, which maps an array of points to values."""
-    return RealFunction(ClosureSource(fn), domain, label)
+    return RealFunction(ClosureSource(fn), label)
 
 
 def linear_combination(alpha: float, f: RealFunction, beta: float,
                        g: RealFunction) -> RealFunction:
     """alpha*f + beta*g, staying symbolic when both operands are."""
-    domain = Interval(max(f.domain.a, g.domain.a), min(f.domain.b, g.domain.b))
     label = f"{alpha}*({f.label})+{beta}*({g.label})"
     if f.is_expr_backed() and g.is_expr_backed():
         combined = add(mul(const(alpha), f.as_expr()), mul(const(beta), g.as_expr()))
-        return from_expr(combined, domain, label)
-    return from_callable(
-        lambda xs: alpha * f.eval_array(xs) + beta * g.eval_array(xs), domain, label)
+        return from_expr(combined, label)
+    return from_callable(lambda xs: alpha * f.eval_array(xs) + beta * g.eval_array(xs), label)
 
 
 def absolute(f: RealFunction) -> RealFunction:
     """|f| as an evaluable function (closure-backed)."""
-    return from_callable(lambda xs: np.abs(f.eval_array(xs)), f.domain, f"|{f.label}|")
+    return from_callable(lambda xs: np.abs(f.eval_array(xs)), f"|{f.label}|")
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +221,6 @@ def _panel_gl16(feval, lo: np.ndarray, hi: np.ndarray):
 PANEL_RULES = {"gl16": _panel_gl16}
 
 
-def _check_range(f: RealFunction, lo: float, hi: float) -> None:
-    if not (f.domain.contains(lo) and f.domain.contains(hi)):
-        raise ValueError(
-            f"integration range [{lo}, {hi}] outside domain "
-            f"[{f.domain.a}, {f.domain.b}] of '{f.label}'"
-        )
-
-
 def _nest(vals: np.ndarray, half: np.ndarray, depth: int) -> np.ndarray:
     """I^depth at the far end of each row's panels.  vals[i, j] holds the
     integrand at the nodes of point i's panel j (panels in order from the
@@ -299,7 +259,8 @@ def _adapt(feval, depth: int, start: np.ndarray, end: np.ndarray,
                                    for i in range(0, ts.size, _PASS_NODES)])
 
         vals, tail = PANEL_RULES["gl16"](passes, lo, hi)
-        return vals, reach[owner] * np.abs(hi - lo) * tail
+        # a zero tail is a zero share, also where reach * |hi - lo| overflows
+        return vals, np.where(tail == 0, 0.0, reach[owner] * np.abs(hi - lo) * tail)
 
     n = start.size
     owner, lo, hi = np.arange(n), start, end
@@ -368,16 +329,19 @@ def _nest_many(g: RealFunction, depth: int, a: float, xs,
     """I_a^depth of g, or of kernel(x, t) * g(t) if a kernel is given, at
     each x in xs, depth >= 1.  At depth 1 the panels tile [min(a, x),
     max(a, x)] upwards and the sign is flipped where x < a, so a single
-    integral is exactly antisymmetric; deeper nests run from a."""
+    integral is exactly antisymmetric; deeper nests run from a.  Where g is
+    defined is for g's evaluator to say; the limits must be finite."""
     a = float(a)
     xs = np.asarray(xs, dtype=float)
+    if not math.isfinite(a):
+        raise ValueError(f"integration limit a={a!r} is not finite")
+    if not np.isfinite(xs).all():
+        raise ValueError(f"integration limit x={float(xs[~np.isfinite(xs)][0])!r} is not finite")
     out = np.zeros(xs.shape)
     live = (xs != a).nonzero()[0]
     if not live.size:
         return out
     x = xs[live]
-    lo, hi = float(x.min()), float(x.max())
-    _check_range(g, min(a, lo), max(a, hi))
 
     def feval(ts: np.ndarray, owner: np.ndarray) -> np.ndarray:
         if kernel is None:
@@ -385,8 +349,10 @@ def _nest_many(g: RealFunction, depth: int, a: float, xs,
         with np.errstate(all="ignore"):
             vals = kernel(x[owner], ts) * g.eval_array(ts)
         bad = ~np.isfinite(vals)
-        if bad.any():  # as evaluate_array refuses
-            raise DomainError(g.label, float(ts[bad.nonzero()[0][0]]), "non-finite result")
+        if bad.any():  # as evaluate_array refuses, naming the limit too
+            k = bad.nonzero()[0][0]
+            raise DomainError(g.label, float(ts[k]), "non-finite result in the integral "
+                              f"to x={float(x[owner[k]])!r}")
         return vals
 
     with np.errstate(all="ignore"):  # an overflow shows as inf, which callers refuse
@@ -394,7 +360,7 @@ def _nest_many(g: RealFunction, depth: int, a: float, xs,
             out[live] = _adapt(feval, depth, np.full(x.size, a), x, cfg)
         else:
             value = _adapt(feval, 1, np.minimum(x, a), np.maximum(x, a), cfg)
-            out[live] = value if lo > a else np.where(x < a, -value, value)
+            out[live] = np.where(x < a, -value, value)
     return out
 
 
@@ -440,7 +406,7 @@ def _grids(lo: np.ndarray, hi: np.ndarray, num: int) -> np.ndarray:
 def sup_abs_many(f: RealFunction, lo, hi) -> np.ndarray:
     """Estimates of sup |f| over [lo[i], hi[i]], never below the largest
     sampled |f|: a dense scan, then up to _SUP_REFINE_ROUNDS finer grids about
-    the last maximum until its bracket is at float resolution.  Intervals run
+    the last maximum until its bracket is at float resolution.  Ranges run
     in lock step, _SUP_CHUNK at a time, one eval_array call per round."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     if not (np.isfinite(lo) & np.isfinite(hi) & (lo < hi)).all():
@@ -474,6 +440,6 @@ def _sup_chunk(f: RealFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return best
 
 
-def sup_abs(f: RealFunction, iv: Interval) -> float:
-    """Estimate of sup over iv of |f|: sup_abs_many on the one interval."""
-    return float(sup_abs_many(f, [iv.a], [iv.b])[0])
+def sup_abs(f: RealFunction, lo: float, hi: float) -> float:
+    """Estimate of sup over [lo, hi] of |f|: sup_abs_many on the one interval."""
+    return float(sup_abs_many(f, [lo], [hi])[0])

@@ -29,9 +29,8 @@ import numpy as np
 
 from .expr import const, differentiate, mul, simplify
 from .funcspace import (
-    DEFAULT_QUAD_CONFIG, NestSource, QuadratureConfig, RealFunction, _check_range,
-    constant_one, from_callable, from_expr, linear_combination, span_interval,
-    sup_abs_many,
+    DEFAULT_QUAD_CONFIG, NestSource, QuadratureConfig, RealFunction, constant_one,
+    from_callable, from_expr, linear_combination, sup_abs_many,
 )
 from .report import CheckReport, Worst
 
@@ -108,7 +107,7 @@ def describe(op: OperatorNode) -> str:
 def _apply_differentiate(f: RealFunction) -> RealFunction:
     if f.is_expr_backed():
         d = simplify(differentiate(f.as_expr()))
-        return from_expr(d, f.domain, f"D({f.label})")
+        return from_expr(d, f"D({f.label})")
     if isinstance(f.source, NestSource):
         s = f.source
         return iterated_integral(s.integrand, s.depth - 1, s.base, s.cfg)
@@ -124,13 +123,12 @@ def apply(op: OperatorNode, f: RealFunction,
         return iterated_integral(f, 1, op.base, cfg)
     if isinstance(op, EvaluateAt):
         value = f(op.base)
-        return from_expr(const(value), f.domain, f"{f.label}({op.base})*1")
+        return from_expr(const(value), f"{f.label}({op.base})*1")
     if isinstance(op, Scale):
         c = op.factor
         if f.is_expr_backed():
-            return from_expr(mul(const(c), f.as_expr()), f.domain,
-                             f"{c}*({f.label})")
-        return from_callable(lambda xs: c * f.eval_array(xs), f.domain, f"{c}*({f.label})")
+            return from_expr(mul(const(c), f.as_expr()), f"{c}*({f.label})")
+        return from_callable(lambda xs: c * f.eval_array(xs), f"{c}*({f.label})")
     if isinstance(op, Sum):
         left = apply(op.left, f, cfg)
         right = apply(op.right, f, cfg)
@@ -157,11 +155,10 @@ def iterated_integral(g: RealFunction, n: int, a: float,
         raise ValueError("iterated_integral requires n >= 0")
     if n == 0:
         return g
-    _check_range(g, a, a)
     s = g.source
     if isinstance(s, NestSource) and s.base == float(a) and s.cfg == cfg:
         g, n = s.integrand, s.depth + n  # one engine call, not a nest of quadratures
-    return RealFunction(NestSource(float(a), g, n, cfg), g.domain, f"I[{a}]^{n}({g.label})")
+    return RealFunction(NestSource(float(a), g, n, cfg), f"I[{a}]^{n}({g.label})")
 
 
 def iterated_integral_one(n: int, a: float, x: float,
@@ -170,7 +167,7 @@ def iterated_integral_one(n: int, a: float, x: float,
     literally nesting I_a (no closed form)."""
     if not 1 <= n <= 12:
         raise ValueError("iterated_integral_one supports 1 <= n <= 12")
-    return iterated_integral(constant_one(span_interval(a, x)), n, a, cfg)(x)
+    return iterated_integral(constant_one(), n, a, cfg)(x)
 
 
 def monotone_bound(n: int, g: RealFunction, a, x):
@@ -184,8 +181,14 @@ def monotone_bound(n: int, g: RealFunction, a, x):
         raise ValueError("monotone_bound is stated on [a, x]; requires x >= a")
     live = hi != lo
     bound = np.zeros(lo.shape)
-    # (x-a)^n in Python floats: numpy's power may differ in the last bit
-    bound[live] = [s * (q - p) ** n / math.factorial(n) for s, p, q in zip(
+
+    def term(s, p, q):  # (x-a)^n in Python floats: numpy's power may differ in the last bit
+        try:
+            return s * (q - p) ** n / math.factorial(n)
+        except OverflowError:  # 0 where the sup is 0, else inf
+            return math.inf if s else 0.0
+
+    bound[live] = [term(s, p, q) for s, p, q in zip(
         sup_abs_many(g, lo[live], hi[live]).tolist(), lo[live].tolist(), hi[live].tolist())]
     return bound if bound.ndim else float(bound)
 

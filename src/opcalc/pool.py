@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .expr import Expr, parse
-from .funcspace import Interval, RealFunction, from_expr
+from .funcspace import RealFunction, from_expr
 
 
 @dataclass(frozen=True)
@@ -20,10 +20,9 @@ class PoolFunction:
     base: float
     probe_lo: float
     probe_hi: float
-    domain: Interval
 
     def function(self) -> RealFunction:
-        return from_expr(self.expr, self.domain, self.label)
+        return from_expr(self.expr, self.label)
 
     def probes(self, count: int, nonnegative_only: bool = False) -> list[float]:
         lo = self.base if nonnegative_only else self.probe_lo
@@ -34,13 +33,11 @@ class PoolFunction:
 
 
 def default_pool() -> tuple[PoolFunction, ...]:
-    wide = Interval(-2.5, 2.5)
-    guarded = Interval(-0.9, 2.5)
     return (
-        PoolFunction("exp(x)", parse("exp(x)"), 0.0, -1.0, 1.0, wide),
-        PoolFunction("sin(x)", parse("sin(x)"), 0.0, -1.0, 1.0, wide),
-        PoolFunction("cos(x)", parse("cos(x)"), 0.0, -1.0, 1.0, wide),
-        PoolFunction("x^5", parse("x^5"), 0.0, -1.0, 1.0, wide),
-        PoolFunction("(1+x)^(-1)", parse("(1+x)^(-1)"), 0.0, 0.0, 0.75, guarded),
-        PoolFunction("ln(1+x)", parse("ln(1+x)"), 0.0, 0.0, 0.75, guarded),
+        PoolFunction("exp(x)", parse("exp(x)"), 0.0, -1.0, 1.0),
+        PoolFunction("sin(x)", parse("sin(x)"), 0.0, -1.0, 1.0),
+        PoolFunction("cos(x)", parse("cos(x)"), 0.0, -1.0, 1.0),
+        PoolFunction("x^5", parse("x^5"), 0.0, -1.0, 1.0),
+        PoolFunction("(1+x)^(-1)", parse("(1+x)^(-1)"), 0.0, 0.0, 0.75),
+        PoolFunction("ln(1+x)", parse("ln(1+x)"), 0.0, 0.0, 0.75),
     )

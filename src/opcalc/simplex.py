@@ -23,9 +23,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .funcspace import (
-    DEFAULT_QUAD_CONFIG, QuadratureConfig, from_expr, integrate_many, span_interval,
-)
+from .funcspace import DEFAULT_QUAD_CONFIG, QuadratureConfig, from_expr, integrate_many
 from .rng import GAMMA, MASK64, mix_in_place, state_of
 
 if TYPE_CHECKING:
@@ -277,7 +275,6 @@ def remainder_by_slicing(t: TaylorExpansion, x,
         vols = np.array([abs(p - s) ** order for p, s in zip(xs.tolist(), ts.tolist())])
         return np.where(xs > a, 1.0, (-1.0) ** order) * (vols / scale)
 
-    deriv = from_expr(t.derivative_exprs[-1], span_interval(a, x),
-                      f"sliced remainder integrand N={order}")
+    deriv = from_expr(t.derivative_exprs[-1], f"sliced remainder integrand N={order}")
     values = integrate_many(deriv, a, np.atleast_1d(x), cfg, volumes)
     return values if np.ndim(x) else float(values[0])

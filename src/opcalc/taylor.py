@@ -39,7 +39,7 @@ from .expr import (
 )
 from .funcspace import (
     DEFAULT_QUAD_CONFIG, QuadratureConfig, from_callable, from_expr, integrate,
-    integrate_many, span_interval,
+    integrate_many,
 )
 from .operators import iterated_integral, monotone_bound
 from .report import CheckReport, from_gap
@@ -133,8 +133,7 @@ def remainder_exact(t: TaylorExpansion, x,
     array; a scalar returns a float."""
     n = t.order
     c = 1.0 / math.factorial(n)
-    deriv = from_expr(t.residual_integrand(), span_interval(t.base, x),
-                      f"remainder integrand N={n} of {brief(t.source)}")
+    deriv = from_expr(t.residual_integrand(), f"remainder integrand N={n} of {brief(t.source)}")
     values = integrate_many(deriv, t.base, np.atleast_1d(x), cfg,
                             lambda xs, ts: c * np.power(xs - ts, float(n)))
     return values if np.ndim(x) else float(values[0])
@@ -148,7 +147,7 @@ def remainder_nested(t: TaylorExpansion, x,
     n = t.order
     if n + 1 > NESTED_MAX_DEPTH:
         raise ValueError(f"nested remainder supports order+1 <= {NESTED_MAX_DEPTH}")
-    g = from_expr(t.residual_integrand(), span_interval(t.base, x))
+    g = from_expr(t.residual_integrand())
     values = iterated_integral(g, n + 1, t.base, cfg).eval_array(np.atleast_1d(x))
     return values if np.ndim(x) else float(values[0])
 
@@ -157,7 +156,7 @@ def remainder_bound(t: TaylorExpansion, x):
     """sup |f^(N+1)| times |x-a|^(N+1)/(N+1)!: operators.monotone_bound on
     [min(a,x), max(a,x)], so x < a is the oriented extension of the bound.
     x may be an array; a scalar returns a float."""
-    deriv = from_expr(t.residual_integrand(), span_interval(t.base, x))
+    deriv = from_expr(t.residual_integrand())
     return monotone_bound(t.order + 1, deriv, np.minimum(t.base, x), np.maximum(t.base, x))
 
 
@@ -173,15 +172,14 @@ def verify_exchange(g: tuple[Expr, Expr], a: float, upper: float,
     gi, gj = g
     a = float(a)
     upper = float(upper)
-    iv = span_interval(a, upper)
-    fi = from_expr(gi, iv, f"gi={render(gi)}")
-    fj = from_expr(gj, iv, f"gj={render(gj)}")
+    fi = from_expr(gi, f"gi={render(gi)}")
+    fj = from_expr(gj, f"gj={render(gj)}")
 
     # integrals are oriented, so int_t^u fj == -int_u^t fj exactly
     lhs_fn = from_callable(lambda ts: fj.eval_array(ts) * integrate_many(fi, a, ts, cfg),
-                           iv, "inner integral, original order")
+                           "inner integral, original order")
     rhs_fn = from_callable(lambda ts: fi.eval_array(ts) * -integrate_many(fj, upper, ts, cfg),
-                           iv, "inner integral, exchanged order")
+                           "inner integral, exchanged order")
     lhs = integrate(lhs_fn, a, upper, cfg)
     rhs = integrate(rhs_fn, a, upper, cfg)
     return from_gap(

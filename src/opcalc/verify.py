@@ -22,7 +22,7 @@ from .expr import (
     sub, var,
 )
 from .funcspace import (
-    DEFAULT_QUAD_CONFIG, Interval, QuadratureConfig, absolute, from_expr,
+    DEFAULT_QUAD_CONFIG, QuadratureConfig, absolute, from_expr,
     integrate, linear_combination, sup_abs,
 )
 from .operators import (
@@ -172,10 +172,9 @@ def suite_funcspace(cfg: VerifyConfig) -> list[CheckReport]:
     worst = Worst("funcspace.sup_abs_dominates_samples", 1e-12)
     for pf in pool:
         f = pf.function()
-        iv = Interval(pf.probe_lo, pf.probe_hi)
-        s = sup_abs(f, iv)
+        s = sup_abs(f, pf.probe_lo, pf.probe_hi)
         for _ in range(100):
-            t = stream.uniform(iv.a, iv.b)
+            t = stream.uniform(pf.probe_lo, pf.probe_hi)
             worst.see(abs(f(t)) - s, f=pf.label, x=t)
     reports.append(worst.report())
     return reports
@@ -406,8 +405,7 @@ def suite_fixedpoint(cfg: VerifyConfig) -> list[CheckReport]:
 
     broken = []
     for g_text, x0 in (("cos(x)", 1.0), ("x", 2.0), ("2*x", 1.0)):
-        t = fp.iterate_scalar(from_expr(parse(g_text), Interval(-1e6, 1e6)),
-                              x0, 1e-10, 40)
+        t = fp.iterate_scalar(from_expr(parse(g_text)), x0, 1e-10, 40)
         if list(t.residuals) != [abs(q - p) for p, q in zip(t.iterates, t.iterates[1:])]:
             broken.append({"g": g_text, "x0": x0, "broken": "residuals"})
         if t.converged and t.residuals[-1] > 1e-10:

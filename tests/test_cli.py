@@ -373,6 +373,9 @@ def test_an_expression_too_deep_for_the_recursion_limit_exits_three_in_one_line(
     # the quadrature engine's products overflow without a numpy warning
     (("remainder", "--f", "exp(x)", "--n", "1", "--points", "709.7"), 3,
      "numeric failure: exact_integral is not finite at x=709.7: inf"),
+    # (x-t)^4 overflows in the exact route's kernel: the node and its limit
+    (("remainder", "--f", "x", "--n", "4", "--points", "1e80"), 3,
+     "non-finite result in the integral to x=1e+80"),
 ])
 def test_an_overflow_exits_in_one_line_naming_its_point_or_cell(argv, code, named):
     proc = _cli_process(*argv)  # numpy's warnings would reach stderr here too
@@ -389,6 +392,17 @@ def test_a_bound_that_overflows_is_null_naming_its_route_and_point():
     assert row["bound"] is None
     assert all(abs(row[k] / 1.0142e304 - 1.0) < 1e-4
                for k in ("direct", "exact_integral", "nested_integral", "sliced"))
+
+
+@pytest.mark.parametrize("f, x", [("x", "1e80"), ("x^3", "1e79")])
+def test_a_far_point_with_a_zero_residual_is_0_on_every_route(f, x):
+    # the nest's kernel bound times |x - a| overflows, and so does (x - a)^4 in
+    # the bound; with f^(4) = 0 both are 0, not NaN and not an OverflowError
+    proc = _cli_process("remainder", "--f", f, "--n", "3", "--points", x)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    row = json.loads(proc.stdout)["rows"][0]
+    assert [row[k] for k in ("direct", "exact_integral", "nested_integral", "sliced",
+                             "bound", "max_gap")] == [0] * 6
 
 
 def test_a_nest_whose_error_overflows_is_null_not_wrong():

@@ -14,7 +14,7 @@ from opcalc.fixedpoint import (
     ZeroDerivativeError, ZeroImageError, iterate_scalar, newton, power_method,
     root_as_fixed_point,
 )
-from opcalc.funcspace import Interval, from_expr
+from opcalc.funcspace import from_expr
 from opcalc.rng import CounterStream
 from opcalc.verify import VerifyConfig, suite_fixedpoint
 
@@ -22,7 +22,7 @@ DEMO = Path(__file__).resolve().parents[1] / "scripts" / "fixedpoint_demo.py"
 
 
 def g_of(text):
-    return from_expr(parse(text), Interval(-100.0, 100.0))
+    return from_expr(parse(text))
 
 
 # ---------------------------------------------------------------------------

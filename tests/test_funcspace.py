@@ -8,13 +8,12 @@ from hypothesis import assume, given, settings, strategies as st
 from opcalc import funcspace as fs
 from opcalc.expr import DomainError, const, parse
 from opcalc.funcspace import (
-    DEFAULT_QUAD_CONFIG, Interval, QuadratureConfig, ToleranceNotMetError,
+    DEFAULT_QUAD_CONFIG, QuadratureConfig, ToleranceNotMetError,
     constant_one, from_callable, from_expr, integrate, integrate_many,
     linear_combination, sup_abs, sup_abs_many,
 )
 from opcalc.operators import iterated_integral
 
-IV = Interval(-4.0, 4.0)
 TOL = DEFAULT_QUAD_CONFIG.abs_tolerance
 
 
@@ -22,8 +21,8 @@ NEST_POOL = ["exp(x)", "sin(3*x)", "x^5-x", "(x+2)^0.5", "cos(x)/(2+x)",
              "exp(-x^2)", "ln(2+x)"]
 
 
-def f_of(text, iv=IV):
-    return from_expr(parse(text), iv)
+def f_of(text):
+    return from_expr(parse(text))
 
 
 # ---------------------------------------------------------------------------
@@ -100,23 +99,8 @@ def test_integrate_matches_closed_form():
 
 
 # ---------------------------------------------------------------------------
-# Interval / config invariants
+# config invariants
 # ---------------------------------------------------------------------------
-
-def test_interval_validation():
-    with pytest.raises(ValueError):
-        Interval(1.0, 1.0)
-    with pytest.raises(ValueError):
-        Interval(2.0, 1.0)
-    with pytest.raises(ValueError):
-        Interval(0.0, math.inf)
-
-
-def test_interval_contains_allows_rounding_slack():
-    iv = Interval(0.0, 1.0)   # slack 1e-9 * (1 + 1) = 2e-9
-    assert iv.contains(0.5) and iv.contains(1.0 + 1.5e-9) and iv.contains(-1.5e-9)
-    assert not iv.contains(1.0 + 3e-9) and not iv.contains(-3e-9)
-
 
 def test_quadrature_config_validation():
     with pytest.raises(ValueError):
@@ -135,7 +119,7 @@ def test_quadrature_config_validation():
 # ---------------------------------------------------------------------------
 
 def test_integral_of_one():
-    assert integrate(constant_one(Interval(0.0, 2.0)), 0.0, 1.0) == pytest.approx(1.0, abs=TOL)
+    assert integrate(constant_one(), 0.0, 1.0) == pytest.approx(1.0, abs=TOL)
 
 
 def test_integral_of_identity():
@@ -158,23 +142,49 @@ def test_integral_at_coincident_endpoints():
     assert integrate(f_of("exp(x)"), 1.0, 1.0) == 0.0
 
 
-def test_integral_outside_domain_rejected():
-    f = f_of("x", Interval(0.0, 1.0))
-    with pytest.raises(ValueError):
-        integrate(f, 0.0, 2.0)
-
-
 def test_integral_propagates_domain_error():
     from opcalc.expr import DomainError
 
-    f = f_of("ln(x)", Interval(-1.0, 1.0))
+    f = f_of("ln(x)")
     with pytest.raises(DomainError):
         integrate(f, -0.5, 0.5)
 
 
+def test_integral_runs_wherever_the_evaluator_is_defined():
+    # ln(1+x) is defined on (-1, inf); its antiderivative is (1+x) ln(1+x) - x
+    got = integrate(f_of("ln(1+x)"), -0.95, 0.0)
+    assert got == pytest.approx(-(0.05 * math.log(0.05) + 0.95), abs=TOL)
+
+
+def test_integral_across_the_singularity_names_the_node():
+    with pytest.raises(DomainError, match=r"domain violation in 'ln\(1\.0\+x\)' at x=-1\."):
+        integrate(f_of("ln(1+x)"), -1.5, 0.0)
+
+
+@pytest.mark.parametrize("a, x, name", [
+    (0.0, math.inf, "x=inf"),
+    (0.0, -math.inf, "x=-inf"),
+    (0.0, math.nan, "x=nan"),
+    (math.inf, 0.5, "a=inf"),
+    (-math.inf, 0.0, "a=-inf"),
+    (math.nan, math.nan, "a=nan"),
+    (math.inf, math.inf, "a=inf"),  # x == a would otherwise be a zero integral
+])
+def test_non_finite_limits_are_refused_by_the_engine(a, x, name):
+    f = f_of("exp(x)")
+    message = rf"^integration limit {name} is not finite$"
+    with pytest.raises(ValueError, match=message) as info:
+        integrate(f, a, x)
+    assert type(info.value) is ValueError  # not a DomainError: f is not at fault
+    with pytest.raises(ValueError, match=message):
+        integrate_many(f, a, [0.5, x, 0.25])
+    with pytest.raises(ValueError, match=message):
+        iterated_integral(f, 3, a).eval_array(np.array([0.5, x]))
+
+
 def test_kink_is_resolved_by_subdivision():
     # a single panel cannot resolve the |x|^0.3 kink; bisection towards it can
-    f = from_callable(lambda t: abs(t) ** 0.3, Interval(-1.0, 1.0), "kink")
+    f = from_callable(lambda t: abs(t) ** 0.3, "kink")
     got = integrate(f, -1.0, 1.0, QuadratureConfig(abs_tolerance=1e-9))
     assert got == pytest.approx(2.0 / 1.3, abs=1e-8)
 
@@ -183,12 +193,12 @@ def test_kink_is_resolved_by_subdivision():
 def test_integrable_endpoint_singularity(p, want):
     # the integral of x^p on [0, 1] is 1/(1+p); panels crowd towards 0 until
     # their shares add up to within budget, far below the panel cap
-    f = f_of(f"x^({p})", Interval(0.0, 1.0))
+    f = f_of(f"x^({p})")
     assert integrate(f, 0.0, 1.0) == pytest.approx(want, abs=TOL)
 
 
 def test_non_integrable_singularity_reports_the_points_own_budget():
-    f = f_of("x^(-1)", Interval(0.0, 1.0))
+    f = f_of("x^(-1)")
     with pytest.raises(ToleranceNotMetError) as info:
         integrate(f, 0.0, 1.0)
     assert info.value.requested == TOL  # what was asked for, not a halved panel budget
@@ -210,34 +220,32 @@ def test_rel_tolerance_budget():
 
 def test_sup_abs_of_exp_is_right_endpoint():
     # exp is increasing: oracle is evaluation at the right endpoint
-    got = sup_abs(f_of("exp(x)"), Interval(0.0, 1.0))
+    got = sup_abs(f_of("exp(x)"), 0.0, 1.0)
     assert got == pytest.approx(math.e, rel=1e-12)
 
 
 def test_sup_abs_of_one_is_exactly_one():
-    iv = Interval(-2.0, 7.0)
-    assert sup_abs(constant_one(iv), iv) == 1.0
+    assert sup_abs(constant_one(), -2.0, 7.0) == 1.0
 
 
 def test_sup_abs_of_sin_interior_maximum():
     # max of |sin| on [0,4] is at pi/2
-    got = sup_abs(f_of("sin(x)"), Interval(0.0, 4.0))
+    got = sup_abs(f_of("sin(x)"), 0.0, 4.0)
     assert got == pytest.approx(1.0, abs=1e-6)
     assert got <= 1.0 + 1e-12
 
 
 def test_sup_abs_dominates_samples():
     f = f_of("sin(x)*exp(x)")
-    iv = Interval(-2.0, 2.0)
-    s = sup_abs(f, iv)
-    xs = np.linspace(iv.a, iv.b, 100)
+    s = sup_abs(f, -2.0, 2.0)
+    xs = np.linspace(-2.0, 2.0, 100)
     for x in xs:
         assert abs(f(float(x))) <= s + 1e-12
 
 
-def ref_sup_abs(f, iv):
+def ref_sup_abs(f, lo, hi):
     """The one-interval loop sup_abs_many runs in lock step."""
-    xs = np.linspace(iv.a, iv.b, fs._SUP_SAMPLES)
+    xs = np.linspace(lo, hi, fs._SUP_SAMPLES)
     vals = np.abs(f.eval_array(xs))
     k = int(np.argmax(vals))
     best = float(vals[k])
@@ -257,8 +265,8 @@ def ref_sup_abs(f, iv):
 
 SUP_POOL = [f_of(text) for text in NEST_POOL] + [
     fs.absolute(f_of("sin(5*x)")),
-    from_callable(lambda t: np.floor(3.0 * t), IV, "steps"),  # ties: first maximum
-    from_callable(lambda t: np.where(t > 0.5, math.nan, t), IV, "nan above 0.5"),
+    from_callable(lambda t: np.floor(3.0 * t), "steps"),  # ties: first maximum
+    from_callable(lambda t: np.where(t > 0.5, math.nan, t), "nan above 0.5"),
 ]
 # interval widths: wide ones refine all rounds, narrow ones stop early, and
 # subnormal ones take linspace's path for a step that underflows
@@ -279,15 +287,15 @@ def test_sup_abs_many_matches_one_interval_reference(i, spans, chunk):
     for lo, width in spans:
         lo = 0.0 if width < 1e-200 else lo
         hi = lo + width
-        ivs.append(Interval(lo, hi if hi > lo else math.nextafter(lo, 1.0)))
-    want = [ref_sup_abs(f, iv).hex() for iv in ivs]
+        ivs.append((lo, hi if hi > lo else math.nextafter(lo, 1.0)))
+    want = [ref_sup_abs(f, lo, hi).hex() for lo, hi in ivs]
     saved, fs._SUP_CHUNK = fs._SUP_CHUNK, chunk
     try:
-        got = sup_abs_many(f, [iv.a for iv in ivs], [iv.b for iv in ivs])
+        got = sup_abs_many(f, [lo for lo, _ in ivs], [hi for _, hi in ivs])
     finally:
         fs._SUP_CHUNK = saved
     assert [v.hex() for v in got.tolist()] == want
-    assert [sup_abs(f, iv).hex() for iv in ivs] == want
+    assert [sup_abs(f, lo, hi).hex() for lo, hi in ivs] == want
 
 
 def test_grids_are_linspace_rows_bit_for_bit():
@@ -305,10 +313,9 @@ def test_sup_abs_many_takes_the_first_maximum():
     # sees the bump between the last two dense samples, which a last-maximum
     # scan would find
     bump = (1.0 - 2.0 ** -10 + 1e-6, 1.0 - 1e-6)
-    f = from_callable(lambda t: np.where((t > bump[0]) & (t < bump[1]), 2.0, 1.0),
-                      Interval(0.0, 1.0), "bump")
-    assert sup_abs_many(f, [0.0], [1.0]).tolist() == [ref_sup_abs(f, Interval(0.0, 1.0))]
-    assert sup_abs(f, Interval(0.0, 1.0)) == 1.0
+    f = from_callable(lambda t: np.where((t > bump[0]) & (t < bump[1]), 2.0, 1.0), "bump")
+    assert sup_abs_many(f, [0.0], [1.0]).tolist() == [ref_sup_abs(f, 0.0, 1.0)]
+    assert sup_abs(f, 0.0, 1.0) == 1.0
 
 
 def test_sup_abs_many_keeps_a_nan_as_python_max_does():
@@ -316,8 +323,8 @@ def test_sup_abs_many_keeps_a_nan_as_python_max_does():
     # stays nan, where np.fmax would take v
     p = float(np.linspace(0.1, 0.45, fs._SUP_SAMPLES)[400])
     f = from_callable(lambda t: np.where(t == p, math.nan, 1.0 - (t - p) ** 2),
-                      Interval(0.1, 0.45), "nan at one sample")
-    assert math.isnan(ref_sup_abs(f, Interval(0.1, 0.45)))
+                      "nan at one sample")
+    assert math.isnan(ref_sup_abs(f, 0.1, 0.45))
     assert math.isnan(sup_abs_many(f, [0.1, 0.1], [0.45, 0.2])[0])
 
 
@@ -328,12 +335,12 @@ def test_sup_abs_many_evaluates_once_per_round():
         calls.append(len(t))
         return np.sin(3.0 * t)
 
-    f = from_callable(fn, IV, "counted")
+    f = from_callable(fn, "counted")
     lo = np.linspace(-3.0, 2.0, 40)
     got = sup_abs_many(f, lo, lo + 1.0)
     assert len(calls) <= 1 + fs._SUP_REFINE_ROUNDS
     assert calls[0] == 40 * fs._SUP_SAMPLES
-    assert got.tolist() == [ref_sup_abs(f, Interval(a, a + 1.0)) for a in lo]
+    assert got.tolist() == [ref_sup_abs(f, a, a + 1.0) for a in lo]
 
 
 def test_sup_abs_many_edges():
@@ -395,13 +402,12 @@ def test_integrate_additivity(i, a, c, x):
 
 
 def test_constant_one_examples():
-    iv = Interval(0.0, 1.0)
-    assert constant_one(iv)(0.37) == 1.0
-    assert constant_one(iv).eval_array(np.array([0.1, 0.9])).tolist() == [1.0, 1.0]
-    assert constant_one(iv).label == "1" and constant_one(iv).is_expr_backed()
-    assert constant_one(iv).as_expr() is const(1.0)
-    assert integrate(constant_one(Interval(0.0, 2.0)), 0.0, 2.0) == pytest.approx(2.0, abs=TOL)
-    assert sup_abs(constant_one(iv), iv) == 1.0
+    assert constant_one()(0.37) == 1.0
+    assert constant_one().eval_array(np.array([0.1, 0.9])).tolist() == [1.0, 1.0]
+    assert constant_one().label == "1" and constant_one().is_expr_backed()
+    assert constant_one().as_expr() is const(1.0)
+    assert integrate(constant_one(), 0.0, 2.0) == pytest.approx(2.0, abs=TOL)
+    assert sup_abs(constant_one(), 0.0, 1.0) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +463,6 @@ def ref_integrate(f, a, x, cfg, panels):
     if hi < lo:
         lo, hi = hi, lo
         sign = -1.0
-    if not (f.domain.contains(lo) and f.domain.contains(hi)):
-        raise ValueError("integration range outside domain")
 
     def panel(feval, lo, hi):
         panels[0] += 1
@@ -493,7 +497,6 @@ def counted_panels():
         fs.PANEL_RULES.update(saved)
 
 
-NEST_IV = Interval(-1.0, 1.5)
 limits = st.floats(min_value=-1.0, max_value=1.5)
 
 
@@ -513,7 +516,7 @@ def test_integrate_many_matches_recursive_reference(text, tol, rel, bases, a, xs
     assume(len(bases) < 2 or tol >= 1e-9)
     assume(len(bases) < 3 or (tol >= 1e-6 and len(xs) <= 2))
     cfg = QuadratureConfig(abs_tolerance=tol, rel_tolerance=rel)
-    g = from_expr(parse(text), NEST_IV)
+    g = from_expr(parse(text))
     for base in bases:
         g = iterated_integral(g, 1, base, cfg)
     if with_a:
@@ -535,26 +538,20 @@ def test_integrate_many_empty_and_coincident_limits():
 def test_integrate_many_weights_each_node_by_its_own_point():
     # the integral of (x - t) * 1 from 0 to x is x^2 / 2, for x on either side
     xs = np.array([0.5, -1.5, 0.0, 2.0, 0.5])
-    got = integrate_many(constant_one(IV), 0.0, xs, kernel=lambda x, t: x - t)
+    got = integrate_many(constant_one(), 0.0, xs, kernel=lambda x, t: x - t)
     assert got == pytest.approx(xs ** 2 / 2, abs=TOL)
 
 
 def test_integrate_many_refuses_a_non_finite_weighted_integrand():
     # exp overflows with the warning silenced, as evaluate_array does
-    with pytest.raises(DomainError, match="non-finite result"):
-        integrate_many(constant_one(IV), 0.0, [1.0, 2.0], kernel=lambda x, t: np.exp(1e3 * t))
-
-
-def test_integrate_many_rejects_limits_outside_domain():
-    f = f_of("x", Interval(0.0, 1.0))
-    with pytest.raises(ValueError, match="outside domain"):
-        integrate_many(f, 0.0, [0.5, 2.0, 0.25])
+    with pytest.raises(DomainError, match=r"non-finite result in the integral to x=1\.0$"):
+        integrate_many(constant_one(), 0.0, [1.0, 2.0], kernel=lambda x, t: np.exp(1e3 * t))
 
 
 def test_tolerance_not_met_message_matches_reference():
     # every integral fails in the first round: the first one's failure is
     # reported, as the one-point call reports it
-    f = from_callable(lambda t: np.full_like(t, math.nan), Interval(-1.0, 1.0), "nan")
+    f = from_callable(lambda t: np.full_like(t, math.nan), "nan")
     cfg = QuadratureConfig(abs_tolerance=1e-12)
     with pytest.raises(ToleranceNotMetError) as want:
         integrate(f, 0.9, -0.7, cfg)
@@ -568,7 +565,7 @@ def test_tolerance_not_met_message_matches_reference():
 
 def test_tolerance_not_met_names_the_panel_cap():
     # panels a millionth wide resolve sin(1e6 x); the cap stops at 1,024
-    f = from_callable(lambda t: np.sin(1e6 * t), Interval(0.0, 1.0), "fast")
+    f = from_callable(lambda t: np.sin(1e6 * t), "fast")
     with counted_panels() as panels, pytest.raises(ToleranceNotMetError) as info:
         integrate(f, 0.0, 1.0)
     assert str(info.value).startswith("quadrature error estimate ")
@@ -580,7 +577,7 @@ def test_tolerance_not_met_names_the_panel_cap():
 def test_nan_error_estimate_fails_at_once():
     # a NaN error is never within budget; bisecting it would double the
     # panels of every round up to the panel cap
-    f = from_callable(lambda t: np.full_like(t, math.nan), Interval(0.0, 1.0), "nan")
+    f = from_callable(lambda t: np.full_like(t, math.nan), "nan")
     with counted_panels() as panels, pytest.raises(ToleranceNotMetError, match="nan") as info:
         integrate_many(f, 0.0, [0.5, 1.0])
     assert panels[0] == 2
@@ -608,7 +605,7 @@ def test_panel_rules_are_batch_independent():
 
 
 def test_integral_backed_function_is_batch_consistent():
-    g = iterated_integral(iterated_integral(f_of("sin(3*x)+x^2", NEST_IV), 1, -0.5), 1, 0.25)
+    g = iterated_integral(iterated_integral(f_of("sin(3*x)+x^2"), 1, -0.5), 1, 0.25)
     xs = np.concatenate([np.linspace(-1.0, 1.5, 41), [0.25]])
     batch = g.eval_array(xs)
     assert [g(float(x)) for x in xs] == batch.tolist()
@@ -621,7 +618,7 @@ def test_float_resolution_stops_splitting():
     a = 1.0
     c = math.nextafter(a, 2.0)
     x = math.nextafter(c, 2.0)
-    jump = from_callable(lambda t: np.where(t >= c, 1e30, 0.0), Interval(0.5, 2.0), "jump")
+    jump = from_callable(lambda t: np.where(t >= c, 1e30, 0.0), "jump")
     with counted_panels() as panels:
         got = integrate_many(jump, a, [c, x])
     assert got.tolist() == [0.0, 1e30 * (x - c)]

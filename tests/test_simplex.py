@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from opcalc import simplex as sx
 from opcalc.expr import evaluate_array, parse
-from opcalc.funcspace import from_callable, integrate, span_interval
+from opcalc.funcspace import from_callable, integrate
 from opcalc.simplex import (
     PARTITION_DIMENSIONS, MonteCarloConfig, SimplexSpec, chi_square_threshold, ordering_partition_check,
     partition_counts, remainder_by_slicing, simplex_volume_exact,
@@ -447,7 +447,7 @@ def reference_slicing(t, x):
     def kernel(ts):
         return sign * evaluate_array(deriv, ts) * np.array([volume(float(s)) for s in ts])
 
-    return integrate(from_callable(kernel, span_interval(a, x), "reference"), a, x)
+    return integrate(from_callable(kernel, "reference"), a, x)
 
 
 @pytest.mark.parametrize("text", ["exp(x)", "ln(1+x)", "sin(3*x)+x^2"])

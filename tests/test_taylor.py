@@ -20,7 +20,7 @@ from opcalc.expr import (
     DomainError, const, differentiate, evaluate, mul, parse, power, render,
     simplify, sub, var,
 )
-from opcalc.funcspace import DEFAULT_QUAD_CONFIG, from_expr, integrate, span_interval
+from opcalc.funcspace import DEFAULT_QUAD_CONFIG, from_expr, integrate
 from opcalc.pool import default_pool
 from opcalc.simplex import remainder_by_slicing
 from opcalc.verify import VerifyConfig, _expr_corpus, suite_taylor
@@ -176,11 +176,10 @@ def test_threads_expanding_one_function_at_different_bases_match_sequential():
 
 
 def test_iterated_integral_of_residual_integrand_is_remainder():
-    from opcalc.funcspace import Interval, from_expr
     from opcalc.operators import iterated_integral
 
     t = expand(parse("exp(x)"), 0.0, 2)
-    integrand = from_expr(t.residual_integrand(), Interval(-0.5, 1.5))
+    integrand = from_expr(t.residual_integrand())
     residual = iterated_integral(integrand, t.order + 1, t.base)
     assert residual(1.0) == pytest.approx(remainder_direct(t, 1.0), abs=1e-6)
 
@@ -464,8 +463,18 @@ def reference_exact(t, x):
     (1/N!)*(x-s)^N * f^(N+1)(s), evaluated by evaluate_array."""
     n = t.order
     kernel = mul(const(1.0 / math.factorial(n)), power(sub(const(x), var()), float(n)))
-    f = from_expr(mul(kernel, t.derivative_exprs[-1]), span_interval(t.base, x))
+    f = from_expr(mul(kernel, t.derivative_exprs[-1]))
     return integrate(f, t.base, x)
+
+
+@pytest.mark.parametrize("route", [remainder_exact, remainder_nested, remainder_by_slicing])
+@pytest.mark.parametrize("x, name", [(math.inf, "x=inf"), (math.nan, "x=nan")])
+def test_integral_routes_refuse_a_non_finite_point_in_the_engine(route, x, name):
+    # no route checks x itself: the engine refuses the limit, not a node
+    t = expand(parse("exp(x)"), 0.0, 2)
+    for xs in (x, [0.5, x]):
+        with pytest.raises(ValueError, match=f"^integration limit {name} is not finite$"):
+            route(t, xs)
 
 
 @pytest.mark.parametrize("text", ["exp(x)", "ln(1+x)", "sin(3*x)+x^2"])
