@@ -82,8 +82,10 @@ class Expr:
     nodes; it is None everywhere else.  ``children`` holds 0-2 subtrees.
     Building (kind, children, value) returns the live node with that kind,
     child objects and bits of value, if any, so equality is identity while
-    -0.0 and 0.0 stay distinct.  Node table, memos and tape hold nodes
-    weakly, so a dropped expression is freed by reference counting alone.
+    -0.0 and 0.0 stay distinct.  Building a node of a kind other than VAR
+    and the kinds of _OPS raises ValueError, so no walk meets one.
+    Node table, memos and tape hold nodes weakly, so a dropped expression is
+    freed by reference counting alone.
     """
 
     __slots__ = ("kind", "children", "value", "_derivative", "_simplified",
@@ -95,6 +97,8 @@ class Expr:
         with _NODES_LOCK:
             node = _NODES.get(key)
             if node is None:
+                if kind != VAR and kind not in _OPS:
+                    raise ValueError(f"unknown node kind {kind!r}")
                 node = _NODES[key] = object.__new__(cls)
                 for name, v in zip(cls.__slots__, (kind, children, value, None, None, None)):
                     object.__setattr__(node, name, v)
@@ -346,12 +350,10 @@ def _pieces(e: Expr, minprec: int):
     elif k == POW:
         yield from _pieces(e.children[0], _PREC_ATOM)
         yield f"^{format_number(e.value)}"
-    elif k in FUNC_KINDS:
+    else:  # a kind in FUNC_KINDS
         yield f"{k}("
         yield from _pieces(e.children[0], _PREC_ADD)
         yield ")"
-    else:
-        raise ValueError(f"unknown node kind {k!r}")
     if paren:
         yield ")"
 
@@ -427,9 +429,7 @@ _OPS = {
 
 def _resolve(kind: str, value: float | None) -> _Op:
     """The op of a node: its value bound into both ops, its guards filtered."""
-    op = _OPS.get(kind)
-    if op is None:
-        raise ValueError(f"unknown node kind {kind!r}")
+    op = _OPS[kind]
     if value is None:
         return op
     return _Op(op.scalar and partial(op.scalar, value), partial(op.array, value),
@@ -467,9 +467,7 @@ def _value(e: Expr, x: float, values: dict) -> float:
         a = []
         for child in e.children:
             a.append(_value(child, x, values))
-        op, c = _OPS.get(e.kind), e.value
-        if op is None:
-            raise ValueError(f"unknown node kind {e.kind!r}")
+        op, c = _OPS[e.kind], e.value
         for g in op.guards:
             if g.test(*a) and g.applies(c):
                 raise DomainError(brief(e), x, f"{g.reason} {a[0]}" if g.shows_operand else g.reason)
@@ -653,8 +651,6 @@ def _derive(e: Expr) -> Expr:
         if _is_zero(numerator):
             return const(0.0)
         return _build(DIV, (numerator, _build(POW, (w,), c + 1.0)))
-    if k not in _OPS:
-        raise ValueError(f"unknown node kind {k!r}")
     u = kids[0]
     du = differentiate(u)
     if _is_zero(du):

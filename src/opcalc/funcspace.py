@@ -62,11 +62,6 @@ DEFAULT_QUAD_CONFIG = QuadratureConfig()
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ExprSource:
-    expr: Expr
-
-
-@dataclass(frozen=True)
 class NestSource:
     """I_base^depth integrand, depth >= 1, computed by the quadrature engine."""
     base: float
@@ -76,50 +71,31 @@ class NestSource:
 
 
 @dataclass(frozen=True)
-class ClosureSource:
-    fn: Callable[[np.ndarray], np.ndarray]  # maps an array of points to values
-
-
-Source = Union[ExprSource, NestSource, ClosureSource]
-
-
-@dataclass(frozen=True)
 class RealFunction:
-    """A function value: evaluable, immutable, pure.  Where it is defined
-    is for its evaluator to say, by DomainError."""
+    """A function value: evaluable, immutable, pure.  Its source is an Expr,
+    a NestSource or a callable that maps an array of points to values.
+    Where it is defined is for its evaluator to say, by DomainError."""
 
-    source: Source
+    source: Union[Expr, NestSource, Callable[[np.ndarray], np.ndarray]]
     label: str
 
     def __call__(self, x: float) -> float:
-        s = self.source
-        if isinstance(s, ExprSource):
-            return evaluate(s.expr, x)
-        if isinstance(s, NestSource):
-            return float(self.eval_array(np.array([float(x)]))[0])
-        return float(s.fn(np.array([float(x)]))[0])
+        if isinstance(self.source, Expr):
+            return evaluate(self.source, x)
+        return float(self.eval_array(np.array([float(x)]))[0])
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
         s = self.source
         xs = np.asarray(xs, dtype=float)
-        if isinstance(s, ExprSource):
-            return evaluate_array(s.expr, xs)
+        if isinstance(s, Expr):
+            return evaluate_array(s, xs)
         if isinstance(s, NestSource):
             return _nest_many(s.integrand, s.depth, s.base, xs, s.cfg)
-        return np.asarray(s.fn(xs), dtype=float)
-
-    def is_expr_backed(self) -> bool:
-        return isinstance(self.source, ExprSource)
-
-    def as_expr(self) -> Expr:
-        s = self.source
-        if isinstance(s, ExprSource):
-            return s.expr
-        raise ValueError(f"function '{self.label}' has no symbolic backing")
+        return np.asarray(s(xs), dtype=float)
 
 
 def from_expr(e: Expr, label: str | None = None) -> RealFunction:
-    return RealFunction(ExprSource(e), label if label is not None else brief(e))
+    return RealFunction(e, label if label is not None else brief(e))
 
 
 def constant_one() -> RealFunction:
@@ -129,15 +105,15 @@ def constant_one() -> RealFunction:
 
 def from_callable(fn: Callable[[np.ndarray], np.ndarray], label: str) -> RealFunction:
     """A function backed by `fn`, which maps an array of points to values."""
-    return RealFunction(ClosureSource(fn), label)
+    return RealFunction(fn, label)
 
 
 def linear_combination(alpha: float, f: RealFunction, beta: float,
                        g: RealFunction) -> RealFunction:
     """alpha*f + beta*g, staying symbolic when both operands are."""
     label = f"{alpha}*({f.label})+{beta}*({g.label})"
-    if f.is_expr_backed() and g.is_expr_backed():
-        combined = add(mul(const(alpha), f.as_expr()), mul(const(beta), g.as_expr()))
+    if isinstance(f.source, Expr) and isinstance(g.source, Expr):
+        combined = add(mul(const(alpha), f.source), mul(const(beta), g.source))
         return from_expr(combined, label)
     return from_callable(lambda xs: alpha * f.eval_array(xs) + beta * g.eval_array(xs), label)
 
@@ -392,13 +368,15 @@ _SUP_CHUNK = 64  # intervals per lock-step batch: bounds the scan's memory
 
 
 def _grids(lo: np.ndarray, hi: np.ndarray, num: int) -> np.ndarray:
-    """Row i is np.linspace(lo[i], hi[i], num), bit for bit."""
-    delta = hi - lo
-    step = delta / (num - 1)
+    """Row i is np.linspace(lo[i], hi[i], num), bit for bit; where hi - lo
+    overflows, its nan and inf nodes are left for the evaluator to refuse."""
     k = np.arange(num, dtype=float)
-    # a step that underflows to 0 takes linspace's other path
-    grid = np.where((step == 0)[:, None], k / (num - 1) * delta[:, None], k * step[:, None])
-    grid += lo[:, None]
+    with np.errstate(all="ignore"):
+        delta = hi - lo
+        step = delta / (num - 1)
+        # a step that underflows to 0 takes linspace's other path
+        grid = np.where((step == 0)[:, None], k / (num - 1) * delta[:, None], k * step[:, None])
+        grid += lo[:, None]
     grid[:, -1] = hi
     return grid
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import const, differentiate, mul, simplify
+from .expr import Expr, const, differentiate, mul, simplify
 from .funcspace import (
     DEFAULT_QUAD_CONFIG, NestSource, QuadratureConfig, RealFunction, constant_one,
     from_callable, from_expr, linear_combination, sup_abs_many,
@@ -105,11 +105,10 @@ def describe(op: OperatorNode) -> str:
 # ---------------------------------------------------------------------------
 
 def _apply_differentiate(f: RealFunction) -> RealFunction:
-    if f.is_expr_backed():
-        d = simplify(differentiate(f.as_expr()))
-        return from_expr(d, f"D({f.label})")
-    if isinstance(f.source, NestSource):
-        s = f.source
+    s = f.source
+    if isinstance(s, Expr):
+        return from_expr(simplify(differentiate(s)), f"D({f.label})")
+    if isinstance(s, NestSource):
         return iterated_integral(s.integrand, s.depth - 1, s.base, s.cfg)
     raise UnsupportedDifferentiationError(f.label)
 
@@ -126,8 +125,8 @@ def apply(op: OperatorNode, f: RealFunction,
         return from_expr(const(value), f"{f.label}({op.base})*1")
     if isinstance(op, Scale):
         c = op.factor
-        if f.is_expr_backed():
-            return from_expr(mul(const(c), f.as_expr()), f"{c}*({f.label})")
+        if isinstance(f.source, Expr):
+            return from_expr(mul(const(c), f.source), f"{c}*({f.label})")
         return from_callable(lambda xs: c * f.eval_array(xs), f"{c}*({f.label})")
     if isinstance(op, Sum):
         left = apply(op.left, f, cfg)

@@ -3,11 +3,11 @@
 The generator is splitmix64 used in counter mode: output i is a pure
 function of (seed, i), namely the splitmix64 finalizer applied to the state
 seed + (i+1)*GAMMA mod 2^64; one finalizer, `mix_in_place`, mixes arrays of
-states in place, by default to the top 53 bits k of the uniform k * 2^-53.
-This matches the stream produced by the sequential splitmix64 generator
-seeded with `seed`, and because each output depends only on its counter, a
-sample range can be partitioned into disjoint blocks across workers and
-merged bit-identically.
+states in place to the top 53 bits k of the uniform k * 2^-53, and
+`uniform01_block` is the one array draw built on it.  This matches the
+stream produced by the sequential splitmix64 generator seeded with `seed`,
+and because each output depends only on its counter, a sample range can be
+partitioned into disjoint blocks across workers and merged bit-identically.
 
 Constants are the published splitmix64 parameters (golden-ratio gamma
 and the two finalizer multipliers).
@@ -33,20 +33,15 @@ def splitmix64(seed: int, counter: int) -> int:
     return z ^ (z >> 31)
 
 
-def uniform01(seed: int, counter: int) -> float:
-    """Uniform double in [0, 1) built from the top 53 bits."""
-    return (splitmix64(seed, counter) >> 11) * _INV_2_53
-
-
-def mix_in_place(z: np.ndarray, scratch: np.ndarray, shift: int = 11) -> np.ndarray:
-    """The splitmix64 finalizer of the uint64 states z, shifted right by
-    `shift` bits, written over z; `scratch` is a uint64 buffer of z's shape."""
+def mix_in_place(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The top 53 bits of the splitmix64 finalizer of the uint64 states z,
+    written over z; `scratch` is a uint64 buffer of z's shape."""
     for bits, mult in ((30, MIX_MULT_1), (27, MIX_MULT_2)):
         np.right_shift(z, np.uint64(bits), out=scratch)
         z ^= scratch
         z *= np.uint64(mult)
-    np.right_shift(z, np.uint64(31 + shift), out=scratch)  # (z ^ z>>31) >> shift
-    z >>= np.uint64(shift)
+    np.right_shift(z, np.uint64(42), out=scratch)  # (z ^ z>>31) >> 11
+    z >>= np.uint64(11)
     z ^= scratch
     return z
 
@@ -56,21 +51,11 @@ def state_of(seed: int, counter: int) -> np.uint64:
     return np.uint64((seed + (counter + 1) * GAMMA) & MASK64)
 
 
-def splitmix64_at(seed: int, counters) -> np.ndarray:
-    """Vectorized outputs (uint64) for an array of counter positions."""
-    z = np.asarray(counters, dtype=np.uint64) * np.uint64(GAMMA)   # a copy: counters stay intact
-    z += state_of(seed, 0)
-    return mix_in_place(z, np.empty_like(z), shift=0)
-
-
-def uniform01_at(seed: int, counters) -> np.ndarray:
-    """Vectorized uniforms in [0, 1) for any array of counter positions."""
-    return (splitmix64_at(seed, counters) >> np.uint64(11)) * _INV_2_53
-
-
 def uniform01_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Vectorized uniforms in [0, 1) for a counter range."""
-    return uniform01_at(seed, np.arange(start, start + count, dtype=np.uint64))
+    """Uniforms in [0, 1) for the counters start .. start+count-1."""
+    z = np.arange(count, dtype=np.uint64) * np.uint64(GAMMA)
+    z += state_of(seed, start)
+    return mix_in_place(z, np.empty_like(z)) * _INV_2_53
 
 
 class CounterStream:

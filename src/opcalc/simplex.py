@@ -275,6 +275,6 @@ def remainder_by_slicing(t: TaylorExpansion, x,
         vols = np.array([abs(p - s) ** order for p, s in zip(xs.tolist(), ts.tolist())])
         return np.where(xs > a, 1.0, (-1.0) ** order) * (vols / scale)
 
-    deriv = from_expr(t.derivative_exprs[-1], f"sliced remainder integrand N={order}")
+    deriv = from_expr(t.residual_integrand(), f"sliced remainder integrand N={order}")
     values = integrate_many(deriv, a, np.atleast_1d(x), cfg, volumes)
     return values if np.ndim(x) else float(values[0])

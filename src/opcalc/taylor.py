@@ -111,9 +111,9 @@ def expand(f: Expr, a: float, order: int) -> TaylorExpansion:
 def evaluate_polynomial(t: TaylorExpansion, x):
     """P_N(x) via Horner in the shifted variable (x - base).  x may be an
     array; a scalar returns a float."""
-    u = np.asarray(x, dtype=float) - t.base
-    acc = np.full(u.shape, t.coefficients[t.order] / math.factorial(t.order))
     with np.errstate(all="ignore"):  # an overflow shows as inf, which callers refuse
+        u = np.asarray(x, dtype=float) - t.base
+        acc = np.full(u.shape, t.coefficients[t.order] / math.factorial(t.order))
         for n in range(t.order - 1, -1, -1):
             acc = t.coefficients[n] / math.factorial(n) + u * acc
     return acc if acc.ndim else float(acc)
@@ -122,7 +122,8 @@ def evaluate_polynomial(t: TaylorExpansion, x):
 def remainder_direct(t: TaylorExpansion, x):
     """f(x) - P_N(x).  x may be an array; a scalar returns a float."""
     xs = np.atleast_1d(x)
-    values = evaluate_array(t.source, xs) - evaluate_polynomial(t, xs)
+    with np.errstate(all="ignore"):  # an overflow shows as inf, which callers refuse
+        values = evaluate_array(t.source, xs) - evaluate_polynomial(t, xs)
     return values if np.ndim(x) else float(values[0])
 
 

@@ -376,6 +376,13 @@ def test_an_expression_too_deep_for_the_recursion_limit_exits_three_in_one_line(
     # (x-t)^4 overflows in the exact route's kernel: the node and its limit
     (("remainder", "--f", "x", "--n", "4", "--points", "1e80"), 3,
      "non-finite result in the integral to x=1e+80"),
+    # x - a overflows in P_N's shifted variable, and f(x) - P_N(x) at order 0
+    (("remainder", "--f", "x", "--n", "3", "--a", "-1e308", "--points", "1e308"), 3,
+     "f(x) - P_N(x) is not finite at x=1e+308"),
+    (("remainder", "--f", "x", "--n", "0", "--a", "-1e308", "--points", "1e308"), 3,
+     "f(x) - P_N(x) is not finite at x=1e+308: inf"),
+    (("expand", "--f", "x", "--n", "1", "--a", "-1e308", "--points", "1e308"), 3,
+     "P_N is not finite at x=1e+308"),
 ])
 def test_an_overflow_exits_in_one_line_naming_its_point_or_cell(argv, code, named):
     proc = _cli_process(*argv)  # numpy's warnings would reach stderr here too
@@ -824,3 +831,24 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
                           text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "True"
+
+
+# ---------------------------------------------------------------------------
+# determinism across processes
+# ---------------------------------------------------------------------------
+
+def test_golden_digest_is_the_same_under_two_hash_seeds():
+    # scripts/golden.py digests every benchmark operation's output (expand,
+    # remainder, fixedpoint, verify, simplex, basis); a set or dict order that
+    # followed str hashing would show here as two digests
+    golden = SRC.parent / "scripts" / "golden.py"
+    combined = []
+    for hash_seed in ("0", "1"):
+        proc = subprocess.run([sys.executable, str(golden), "--seed", "1"],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONHASHSEED": hash_seed})
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        digest, label = proc.stdout.splitlines()[-1].split()
+        assert label == "combined" and len(digest) == 64
+        combined.append(digest)
+    assert combined[0] == combined[1]

@@ -404,10 +404,30 @@ def test_integrate_additivity(i, a, c, x):
 def test_constant_one_examples():
     assert constant_one()(0.37) == 1.0
     assert constant_one().eval_array(np.array([0.1, 0.9])).tolist() == [1.0, 1.0]
-    assert constant_one().label == "1" and constant_one().is_expr_backed()
-    assert constant_one().as_expr() is const(1.0)
+    assert constant_one().label == "1" and constant_one().source is const(1.0)
     assert integrate(constant_one(), 0.0, 2.0) == pytest.approx(2.0, abs=TOL)
     assert sup_abs(constant_one(), 0.0, 1.0) == 1.0
+
+
+def test_source_is_the_expr_the_callable_or_the_nest():
+    e = parse("sin(x)+x")
+    fn = np.negative  # a callable compares by identity, like any function object
+    by_expr, by_call = from_expr(e, "f"), from_callable(fn, "g")
+    nest = iterated_integral(by_expr, 2, 0.5)
+    assert by_expr.source is e and by_call.source is fn
+    assert nest.source == fs.NestSource(0.5, by_expr, 2, DEFAULT_QUAD_CONFIG)
+    # equal sources and labels give equal, equally hashed functions
+    assert from_expr(parse("sin(x)+x"), "f") == by_expr
+    assert hash(from_expr(parse("sin(x)+x"), "f")) == hash(by_expr)
+    assert from_callable(fn, "g") == by_call and hash(from_callable(fn, "g")) == hash(by_call)
+    assert iterated_integral(by_expr, 2, 0.5) == nest
+    assert hash(iterated_integral(by_expr, 2, 0.5)) == hash(nest)
+    # a different label, expression, callable or nest is a different function
+    assert from_expr(e, "h") != by_expr and from_expr(parse("x"), "f") != by_expr
+    assert from_callable(np.sin, "g") != by_call
+    assert iterated_integral(by_expr, 3, 0.5) != nest
+    assert len({by_expr, by_call, nest, from_expr(e, "f")}) == 3
+    assert by_expr(0.25) == math.sin(0.25) + 0.25 and by_call(0.25) == -0.25
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opcalc.expr import parse
+from opcalc.expr import DomainError, parse
 from opcalc.funcspace import (
     DEFAULT_QUAD_CONFIG, NestSource, QuadratureConfig, ToleranceNotMetError,
     constant_one, from_callable, from_expr, sup_abs,
@@ -405,6 +406,12 @@ def test_monotone_bound_is_inf_where_its_factor_overflows_and_0_where_the_sup_is
     assert got.tolist() == [1.0 / 24.0, math.inf]
     assert monotone_bound(4, f_of("0*x"), 0.0, [1.0, 1e80]).tolist() == [0.0, 0.0]
     assert monotone_bound(4, f_of("0*x"), -1e80, 1e80) == 0.0
+    # 1e308 - (-1e308) overflows while the sup's grid is built, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert monotone_bound(1, constant_one(), -1e308, 1e308) == math.inf
+        with pytest.raises(DomainError, match="non-finite result"):
+            monotone_bound(1, f_of("x"), -1e308, 1e308)
 
 
 def test_monotone_bound_rejects_reversed_interval():

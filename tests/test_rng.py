@@ -5,12 +5,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opcalc.rng import (
-    GAMMA, MASK64, CounterStream, mix_in_place, splitmix64, splitmix64_at, state_of,
-    uniform01, uniform01_at, uniform01_block,
+    GAMMA, MASK64, CounterStream, mix_in_place, splitmix64, state_of, uniform01_block,
 )
 
 # Published splitmix64 stream for seed 0 (first three sequential outputs).
 SEED0_VECTOR = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+
+def uniform01(seed, counter):
+    """The scalar reference: the uniform built from the top 53 bits."""
+    return (splitmix64(seed, counter) >> 11) * 2.0 ** -53
+
+
+def mixed_at(seed, counters):
+    """mix_in_place over the states of any array of counters."""
+    z = np.asarray(counters, dtype=np.uint64) * np.uint64(GAMMA)  # a copy
+    z += state_of(seed, 0)
+    return mix_in_place(z, np.empty_like(z))
 
 
 def test_known_answer_seed_zero():
@@ -18,9 +29,9 @@ def test_known_answer_seed_zero():
 
 
 def test_block_matches_scalar():
-    block = splitmix64_at(12345, np.arange(200))
+    top = mixed_at(12345, np.arange(200))
     for i in range(200):
-        assert int(block[i]) == splitmix64(12345, i)
+        assert int(top[i]) == splitmix64(12345, i) >> 11
 
 
 def test_uniforms_in_unit_interval():
@@ -34,6 +45,7 @@ def test_uniform_block_matches_scalar():
     us = uniform01_block(99, 50, 64)
     for k in range(64):
         assert float(us[k]) == uniform01(99, 50 + k)
+    assert uniform01_block(99, 50, 0).size == 0
 
 
 @given(
@@ -45,10 +57,10 @@ def test_uniform_block_matches_scalar():
 @settings(max_examples=100, deadline=None)
 def test_block_splitting_is_bit_identical(seed, start, count, split):
     split = min(split, count)
-    whole = splitmix64_at(seed, np.arange(start, start + count))
-    left = splitmix64_at(seed, np.arange(start, start + split))
-    right = splitmix64_at(seed, np.arange(start + split, start + count))
-    assert np.array_equal(whole, np.concatenate([left, right]))
+    whole = uniform01_block(seed, start, count)
+    left = uniform01_block(seed, start, split)
+    right = uniform01_block(seed, start + split, count - split)
+    assert whole.tobytes() == np.concatenate([left, right]).tobytes()
 
 
 @given(
@@ -58,24 +70,28 @@ def test_block_splitting_is_bit_identical(seed, start, count, split):
 )
 @settings(max_examples=100, deadline=None)
 def test_counter_draws_equal_block_draws(seed, start, count):
-    at = uniform01_at(seed, np.arange(start, start + count))
     block = uniform01_block(seed, start, count)
-    assert at.tobytes() == block.tobytes()
-    # any subset of counters, in any order, draws the same values
+    assert (mixed_at(seed, np.arange(start, start + count)) * 2.0 ** -53).tobytes() \
+        == block.tobytes()
+    # any subset of counters, in any order, mixes to the same values
     picked = np.arange(start, start + count)[::-3]
-    assert uniform01_at(seed, picked).tobytes() == block[::-3].tobytes()
+    assert (mixed_at(seed, picked) * 2.0 ** -53).tobytes() == block[::-3].tobytes()
+    if count:
+        assert float(block[-1]) == uniform01(seed, start + count - 1)
 
 
 def test_stream_cursor_matches_block():
     stream = CounterStream(seed=42)
-    drawn = [stream.next_uint64() for _ in range(16)]
-    assert drawn == list(int(v) for v in splitmix64_at(42, np.arange(16)))
+    drawn = [stream.next_float() for _ in range(16)]
+    assert drawn == uniform01_block(42, 0, 16).tolist()
     assert stream.position == 16
+    later = CounterStream(seed=42, start=1 << 40)
+    assert later.next_uint64() >> 11 == int(mixed_at(42, [1 << 40])[0])
 
 
 def test_distinct_seeds_give_distinct_streams():
-    a = splitmix64_at(1, np.arange(32))
-    b = splitmix64_at(2, np.arange(32))
+    a = uniform01_block(1, 0, 32)
+    b = uniform01_block(2, 0, 32)
     assert not np.array_equal(a, b)
 
 
@@ -89,11 +105,9 @@ def test_in_place_finalizer_equals_scalar_at_matrix_counters(seed, n):
     scratch = np.empty_like(ramp)
     assert first * n * GAMMA > MASK64
     for j in range(n):
-        expected = [splitmix64(seed, (first + i) * n + j) for i in range(count)]
-        full = mix_in_place(ramp + state_of(seed, first * n + j), scratch, shift=0)
-        assert [int(v) for v in full] == expected
+        expected = [splitmix64(seed, (first + i) * n + j) >> 11 for i in range(count)]
         top = mix_in_place(ramp + state_of(seed, first * n + j), scratch)
-        assert [int(v) for v in top] == [v >> 11 for v in expected]
+        assert [int(v) for v in top] == expected
 
 
 def test_state_of_is_the_scalar_state():
@@ -107,10 +121,13 @@ def test_state_of_is_the_scalar_state():
     ((1 << 64) - 1, ("2085eb2f2e909560", "4b3e1bb326f1b5a9", "a2b01c2bfa88615f")),
 ])
 def test_array_wrappers_keep_their_bits(seed, digests):
-    # sha256 prefixes of the outputs of the three array draws, pinned from
-    # the implementation that finalized each array with fresh temporaries
+    # sha256 prefixes, pinned from the implementation that finalized each
+    # array with fresh temporaries, of: the 64-bit outputs at spread
+    # counters (now from the scalar reference), their uniforms (now from
+    # mix_in_place), and a uniform01_block
     counters = np.arange(3000, dtype=np.uint64) * np.uint64(7919) + np.uint64(1 << 40)
-    outputs = (splitmix64_at(seed, counters), uniform01_at(seed, counters),
+    outputs = (np.array([splitmix64(seed, c) for c in counters.tolist()], dtype=np.uint64),
+               mixed_at(seed, counters) * 2.0 ** -53,
                uniform01_block(seed, 5, 3000))
     assert tuple(hashlib.sha256(out.tobytes()).hexdigest()[:16]
                  for out in outputs) == digests
