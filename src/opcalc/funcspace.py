@@ -306,13 +306,19 @@ def _nest_many(g: RealFunction, depth: int, a: float, xs,
     each x in xs, depth >= 1.  At depth 1 the panels tile [min(a, x),
     max(a, x)] upwards and the sign is flipped where x < a, so a single
     integral is exactly antisymmetric; deeper nests run from a.  Where g is
-    defined is for g's evaluator to say; the limits must be finite."""
+    defined is for g's evaluator to say; the limits and x - a must be finite."""
     a = float(a)
     xs = np.asarray(xs, dtype=float)
     if not math.isfinite(a):
         raise ValueError(f"integration limit a={a!r} is not finite")
-    if not np.isfinite(xs).all():
-        raise ValueError(f"integration limit x={float(xs[~np.isfinite(xs)][0])!r} is not finite")
+    with np.errstate(over="ignore"):
+        width = xs - a
+    if not np.isfinite(width).all():  # x is not finite, or x - a overflows
+        bad = ~np.isfinite(xs)
+        if bad.any():
+            raise ValueError(f"integration limit x={float(xs[bad][0])!r} is not finite")
+        x = float(xs[~np.isfinite(width)][0])
+        raise ValueError(f"integration range a={a!r} to x={x!r} is wider than the largest float")
     out = np.zeros(xs.shape)
     live = (xs != a).nonzero()[0]
     if not live.size:

@@ -34,6 +34,8 @@ _CHUNK_SAMPLES = 1 << 15  # 256 KiB per uint64 buffer, well inside L2
 PARTITION_DIMENSIONS = range(2, 7)  # the n the partition check runs at
 
 CHI_SQUARE_CONFIDENCE = 0.999
+_CHI_SQUARE_THRESHOLDS = {2: 10.827566170662733, 6: 20.515005652432873, 24: 49.7282324664315,
+                          120: 172.41768160217916, 720: 841.9052198159949}  # by n! cells
 
 MIN_EXPECTED_PER_CELL = 5  # Cochran's rule: the chi-square test needs this many
 
@@ -189,9 +191,8 @@ def _classify_columns(cols: np.ndarray) -> tuple[np.ndarray, int, bool]:
 
 
 def chi_square_threshold(cells: int) -> float:
-    """chi2.ppf(CHI_SQUARE_CONFIDENCE, cells-1), without scipy.stats' ~1 s import."""
-    from scipy.special import gammaincinv
-    return float(2.0 * gammaincinv((cells - 1) / 2, CHI_SQUARE_CONFIDENCE))
+    """scipy's chi2.ppf(CHI_SQUARE_CONFIDENCE, cells-1), pinned bit for bit (tests check it)."""
+    return _CHI_SQUARE_THRESHOLDS[cells]
 
 
 def ordering_partition_check(n: int, cfg: MonteCarloConfig) -> PartitionReport:
@@ -225,8 +226,7 @@ def ordering_partition_check(n: int, cfg: MonteCarloConfig) -> PartitionReport:
         sigma = math.sqrt(p * (1.0 - p) / classified)
         max_z = float(np.max(np.abs(counts / classified - p)) / sigma)
     else:
-        chi_stat = math.inf
-        max_z = math.inf
+        chi_stat = max_z = math.inf
     threshold = chi_square_threshold(cells)
     tiled = exactly_once and classified + discarded == cfg.samples and max_z <= 5.0
     return PartitionReport(

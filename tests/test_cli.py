@@ -383,6 +383,9 @@ def test_an_expression_too_deep_for_the_recursion_limit_exits_three_in_one_line(
      "f(x) - P_N(x) is not finite at x=1e+308: inf"),
     (("expand", "--f", "x", "--n", "1", "--a", "-1e308", "--points", "1e308"), 3,
      "P_N is not finite at x=1e+308"),
+    # x - a overflows in the width of the integration range
+    (("remainder", "--f", "sin(x)", "--n", "0", "--a", "-1e308", "--points", "1e308"), 2,
+     "integration range a=-1e+308 to x=1e+308 is wider than the largest float"),
 ])
 def test_an_overflow_exits_in_one_line_naming_its_point_or_cell(argv, code, named):
     proc = _cli_process(*argv)  # numpy's warnings would reach stderr here too

@@ -16,9 +16,9 @@ from opcalc import simplex as sx
 from opcalc.expr import evaluate_array, parse
 from opcalc.funcspace import from_callable, integrate
 from opcalc.simplex import (
-    PARTITION_DIMENSIONS, MonteCarloConfig, SimplexSpec, chi_square_threshold, ordering_partition_check,
-    partition_counts, remainder_by_slicing, simplex_volume_exact,
-    simplex_volume_montecarlo, sliced_simplex_volume,
+    CHI_SQUARE_CONFIDENCE, PARTITION_DIMENSIONS, MonteCarloConfig, SimplexSpec,
+    chi_square_threshold, ordering_partition_check, partition_counts, remainder_by_slicing,
+    simplex_volume_exact, simplex_volume_montecarlo, sliced_simplex_volume,
 )
 from opcalc.rng import uniform01_block
 from opcalc.taylor import expand, remainder_exact
@@ -330,12 +330,10 @@ def peak_bytes(fn, *args):
 
 def test_kernels_allocate_bounded_memory():
     # chunk-sized buffers only: with 2^18-sample chunks and fresh temporaries
-    # per draw these peaked at 10 and 24 MiB; warm up first, so that the
-    # scipy.special import is not counted
+    # per draw these peaked at 10 and 24 MiB; a first call imports nothing,
+    # so it is counted cold (about 1.7 and 1.9 MiB)
     volume = SimplexSpec(8, 0.0, 1.0), MonteCarloConfig(2_000_000, 2024)
     tiling = 3, MonteCarloConfig(600_000, 2024)
-    simplex_volume_montecarlo(volume[0], MonteCarloConfig(10, 1))
-    ordering_partition_check(3, MonteCarloConfig(10, 1))
     assert peak_bytes(simplex_volume_montecarlo, *volume) < 4 << 20
     assert peak_bytes(ordering_partition_check, *tiling) < 4 << 20
 
@@ -352,21 +350,27 @@ def test_chi_square_threshold_pinned():
     assert chi_square_threshold(6) == pytest.approx(20.515, abs=1e-2)
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", PARTITION_DIMENSIONS)
 def test_chi_square_threshold_equals_scipy_stats_quantile(n):
+    # the pinned table must hold scipy's exact bits for every n the check runs at
     from scipy.stats import chi2
 
     cells = math.factorial(n)
-    assert chi_square_threshold(cells) == float(chi2.ppf(0.999, cells - 1))
+    assert chi_square_threshold(cells) == float(chi2.ppf(CHI_SQUARE_CONFIDENCE, cells - 1))
 
 
 def test_cli_import_leaves_out_scipy_stats():
+    # the partition check and the simplex suite run on numpy alone
     src = Path(__file__).resolve().parent.parent / "src"
-    code = "import sys, opcalc.cli; print('scipy.stats' in sys.modules)"
+    code = ("import contextlib, io, sys, opcalc.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(['simplex', '--n', '6', '--samples', '4000']),\n"
+            "             cli.main(['verify', '--suite', 'simplex'])]\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[0, 0] []"
 
 
 # ---------------------------------------------------------------------------
